@@ -17,7 +17,7 @@ from .families import (DESCRIPTOR_FAMILIES, MATRIX_FAMILIES, FamilySpec,
                        MipDescriptor, generate, verify_family)
 from .integralize import IlpInstance
 from .linalg import Matrix, fractionality, mat_inverse, parse_matrix
-from .solver import PipelineOptions, milp_oracle, milp_solve
+from .solver import PipelineOptions, choose_side, milp_oracle, milp_solve
 from .structure import (CapExceededError, StructureError,
                         decomposition_for_matrix, td_stats)
 
@@ -35,11 +35,6 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _stats_line(tag: str, st) -> str:
-    ks = ",".join(str(k) for k in st.level_heights)
-    return f"td_{tag}=height:{st.height};ttd:{st.topological_height};k:{ks}"
-
-
 def _format_x(parsed: ParsedInstance, x) -> list[str]:
     ordered = parsed.solution_in_file_order(x)
     return [f"x{i}={v}" for i, v in enumerate(ordered)]
@@ -55,8 +50,8 @@ def _cmd_analyze(args) -> int:
     matrix = parsed.instance.matrix
     f_primal = decomposition_for_matrix(matrix, "primal", "auto", args.exact_td_cap)
     f_dual = decomposition_for_matrix(matrix, "dual", "auto", args.exact_td_cap)
-    print(_stats_line("primal", td_stats(f_primal)))
-    print(_stats_line("dual", td_stats(f_dual)))
+    print(td_stats(f_primal).machine_line("primal"))
+    print(td_stats(f_dual).machine_line("dual"))
     print("block_structure:")
     print(structure_trace(matrix, f_primal))
     return EXIT_OK
@@ -65,17 +60,12 @@ def _cmd_analyze(args) -> int:
 def _cmd_bound(args) -> int:
     parsed = parse_instance(_read_input(args.path))
     matrix = parsed.instance.matrix
-    side = args.side
-    if side == "auto":
-        hp = td_stats(decomposition_for_matrix(matrix, "primal", "auto", args.exact_td_cap))
-        hd = td_stats(decomposition_for_matrix(matrix, "dual", "auto", args.exact_td_cap))
-        side = "primal" if hp.height <= hd.height else "dual"
-    f = decomposition_for_matrix(matrix, side, "auto", args.exact_td_cap)
-    cert = frac_bound(matrix, f, side, bit_cap=args.bit_cap)
+    side, fs = choose_side(matrix, args.side, args.exact_td_cap)
+    cert = frac_bound(matrix, fs[side], side, bit_cap=args.bit_cap)
     print(f"side={cert.side}")
     print(f"bound={cert.bound}")
     print(f"log2={cert.log2_bound:.6g}")
-    print(_stats_line(cert.side, cert.stats))
+    print(cert.stats.machine_line(cert.side))
     for node in cert.trace:
         for line in node.render().splitlines():
             print(f"trace={line.strip()}" if args.format == "machine" else line)

@@ -16,8 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .blocks import graft_path_above, primal_decompose
-from .linalg import (Matrix, SingularMatrixError, block_diagonal,
-                     mat_inverse, permutation_matrix)
+from .linalg import Matrix, SingularMatrixError, block_diagonal, mat_inverse
 from .structure import CapExceededError as _BaseCapError
 from .structure import (StructureError, TdDecomposition, TdStats, primal_graph,
                         restrict_decomposition, td_stats, validate_td)
@@ -43,8 +42,19 @@ class CapExceededError(_BaseCapError):
 # ---------------------------------------------------------------------------
 
 def _unpermute(m: Matrix, row_perm: Sequence[int], col_perm: Sequence[int]) -> Matrix:
-    """Undo ``perm = a.submatrix(row_perm, col_perm)`` on perm's inverse."""
-    return permutation_matrix(col_perm).transpose() * m * permutation_matrix(row_perm)
+    """Undo ``perm = a.submatrix(row_perm, col_perm)`` on perm's inverse.
+
+    Row ``col_perm[k]`` of the result is row k of m, with its entries moved to
+    columns ``row_perm``.
+    """
+    src = [0] * len(row_perm)
+    for k, j in enumerate(row_perm):
+        src[j] = k
+    out: list = [None] * len(col_perm)
+    for k, i in enumerate(col_perm):
+        row = m.row(k)
+        out[i] = [row[c] for c in src]
+    return Matrix(out, cols=len(row_perm))
 
 
 @dataclass(frozen=True)
@@ -168,8 +178,8 @@ def _greedy_invertible_columns(strip: Matrix) -> list[int]:
 
 
 def _invert_q1(q: Matrix, border: list[int],
-               blocks: list[tuple[list[int], list[int], TdDecomposition]],
-               bit_cap: int) -> tuple[Matrix, Union[PeelStep, PeelBase]]:
+               blocks: list[tuple[list[int], list[int], TdDecomposition]]
+               ) -> Union[PeelStep, PeelBase]:
     """Peel the strict blocks of q one at a time.
 
     border and blocks hold column/row positions local to q; every block's rows
@@ -177,7 +187,7 @@ def _invert_q1(q: Matrix, border: list[int],
     peels because only leftover columns are ever modified.
     """
     if not blocks:
-        return mat_inverse(q), PeelBase(q)
+        return PeelBase(q)
 
     rows1, cols1, f1 = blocks[0]
     m1 = len(rows1)
@@ -188,7 +198,8 @@ def _invert_q1(q: Matrix, border: list[int],
 
     hat = graft_path_above(f1, len(border))
     b1 = strip.submatrix(range(m1), chosen_rel)
-    b1_inv, b1_trace = _structured(b1, restrict_decomposition(hat, chosen_rel), bit_cap)
+    b1_trace = _structured(b1, restrict_decomposition(hat, chosen_rel))
+    b1_inv = b1_trace.replay()
 
     rest_cand = [c for c in cand_cols if c not in set(chosen)]
     other_cols = [c for _, cs, _ in blocks[1:] for c in cs]
@@ -239,21 +250,16 @@ def _invert_q1(q: Matrix, border: list[int],
                            list(range(c0, c0 + len(cs))), fdec))
         r0 += len(rs)
         c0 += len(cs)
-    rest_inv, rest_trace = _invert_q1(q1p, new_border, new_blocks, bit_cap)
-
-    mid = block_diagonal([Matrix.identity(m1), beta * rest_inv])
-    qp_inv = e3 * mid * e2 * e1
-    q_inv = _unpermute(qp_inv, row_perm, col_perm)
-    step = PeelStep(tuple(row_perm), tuple(col_perm), tuple(chosen), len(border),
+    rest_trace = _invert_q1(q1p, new_border, new_blocks)
+    return PeelStep(tuple(row_perm), tuple(col_perm), tuple(chosen), len(border),
                     m1, b1_trace, e1, e2, e3, beta, rest_trace)
-    return q_inv, step
 
 
-def _structured(a: Matrix, f: TdDecomposition, bit_cap: int) -> tuple[Matrix, InverseTrace]:
+def _structured(a: Matrix, f: TdDecomposition) -> InverseTrace:
     if a.rows != a.cols:
         raise SingularMatrixError("structured inversion needs a square matrix")
     if a.rows == 0:
-        return Matrix([], cols=0), BaseTrace(a)
+        return BaseTrace(a)
 
     if len(f.roots) > 1:
         # forest: columns of different trees never share a row, so the matrix
@@ -273,21 +279,17 @@ def _structured(a: Matrix, f: TdDecomposition, bit_cap: int) -> tuple[Matrix, In
                 raise StructureError("row spans decomposition trees")
             row_groups[owners.pop()].append(i)
         parts = []
-        inverses = []
         for cols, rows in zip(col_groups, row_groups):
             if len(cols) != len(rows):
                 raise SingularMatrixError("non-square component block")
             sub = a.submatrix(rows, cols)
-            inv, tr = _structured(sub, restrict_decomposition(f, cols), bit_cap)
-            inverses.append(inv)
-            parts.append(tr)
+            parts.append(_structured(sub, restrict_decomposition(f, cols)))
         row_perm = tuple(i for rg in row_groups for i in rg)
         col_perm = tuple(j for cg in col_groups for j in cg)
-        inv = _unpermute(block_diagonal(inverses), row_perm, col_perm)
-        return inv, ForestTrace(row_perm, col_perm, tuple(parts))
+        return ForestTrace(row_perm, col_perm, tuple(parts))
 
     if td_stats(f).topological_height <= 1:
-        return mat_inverse(a), BaseTrace(a)
+        return BaseTrace(a)
 
     bs = primal_decompose(a, f)
     strict = [b for b in bs.blocks if b.diagonal.rows > b.diagonal.cols]
@@ -302,10 +304,6 @@ def _structured(a: Matrix, f: TdDecomposition, bit_cap: int) -> tuple[Matrix, In
     if len(q1_rows) != len(q1_cols):
         raise SingularMatrixError("unbalanced border split")
 
-    row_perm = q1_rows + q2_rows
-    col_perm = q1_cols + q2_cols
-    s1 = len(q1_cols)
-
     q1_matrix = a.submatrix(q1_rows, q1_cols)
     border_local = list(range(bs.k1))
     blocks_local = []
@@ -317,38 +315,20 @@ def _structured(a: Matrix, f: TdDecomposition, bit_cap: int) -> tuple[Matrix, In
                              b.decomposition))
         r0 += b.diagonal.rows
         c0 += b.diagonal.cols
-    q1_inv, q1_trace = _invert_q1(q1_matrix, border_local, blocks_local, bit_cap)
-
-    q2_invs = []
-    q2_parts = []
-    for b in square:
-        inv, tr = _structured(b.diagonal, b.decomposition, bit_cap)
-        q2_invs.append(inv)
-        q2_parts.append(tr)
-    q2_inv = block_diagonal(q2_invs) if q2_invs else Matrix([], cols=0)
-
-    lower_left = a.submatrix(q2_rows, q1_cols)
-    corr = -1 * (q2_inv * lower_left * q1_inv)
-
-    n = a.rows
-    rows = []
-    for i in range(s1):
-        rows.append(list(q1_inv.row(i)) + [Fraction(0)] * (n - s1))
-    for i in range(n - s1):
-        rows.append(list(corr.row(i)) + list(q2_inv.row(i)))
-    inv = _unpermute(Matrix(rows, cols=n), row_perm, col_perm)
-    trace = SplitTrace(tuple(row_perm), tuple(col_perm), s1, q1_trace,
-                       tuple(q2_parts), lower_left)
-    return inv, trace
+    q1_trace = _invert_q1(q1_matrix, border_local, blocks_local)
+    q2_parts = tuple(_structured(b.diagonal, b.decomposition) for b in square)
+    return SplitTrace(tuple(q1_rows + q2_rows), tuple(q1_cols + q2_cols),
+                      len(q1_cols), q1_trace, q2_parts,
+                      a.submatrix(q2_rows, q1_cols))
 
 
-def structured_inverse(a: Matrix, f: TdDecomposition,
-                       bit_cap: int = 10 ** 6) -> tuple[Matrix, StructuredInverseTrace]:
+def structured_inverse(a: Matrix, f: TdDecomposition) -> tuple[Matrix, StructuredInverseTrace]:
     """Invert a by the recursion over its block structure.
 
-    f must validate against the primal graph of a.  The result equals
-    ``mat_inverse(a)`` exactly; the trace records the split, the elimination
-    factors and scalings of every peel, and can replay them.
+    f must validate against the primal graph of a.  The recursion only records
+    the trace: the split, the elimination factors and scalings of every peel.
+    The inverse returned is the trace's replay, which equals
+    ``mat_inverse(a)`` exactly; a singular a raises SingularMatrixError.
     """
     if a.rows != a.cols:
         raise SingularMatrixError("matrix is not square")
@@ -356,8 +336,8 @@ def structured_inverse(a: Matrix, f: TdDecomposition,
         raise StructureError("decomposition size does not match column count")
     if not validate_td(primal_graph(a), f):
         raise StructureError("decomposition does not validate against the primal graph")
-    inv, trace = _structured(a, f, bit_cap)
-    return inv, StructuredInverseTrace(trace)
+    trace = StructuredInverseTrace(_structured(a, f))
+    return trace.replay(), trace
 
 
 # ---------------------------------------------------------------------------

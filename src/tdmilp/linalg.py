@@ -42,11 +42,6 @@ def rational(value: int | str | Fraction) -> Fraction:
     raise TypeError(f"cannot make a rational from {type(value).__name__}")
 
 
-def format_rational(value: Fraction) -> str:
-    """Render as ``p/q``, omitting the denominator when it is 1."""
-    return str(value)
-
-
 class Matrix:
     """Immutable dense matrix of exact rationals."""
 
@@ -75,10 +70,6 @@ class Matrix:
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)], cols=n)
-
-    @classmethod
-    def column(cls, values: Sequence[int | Fraction]) -> "Matrix":
-        return cls([[v] for v in values], cols=1)
 
     # -- shape and access ------------------------------------------------
 
@@ -311,12 +302,3 @@ def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
         r0 += b.rows
         c0 += b.cols
     return Matrix(out, cols=total_c)
-
-
-def permutation_matrix(perm: Sequence[int]) -> Matrix:
-    """Matrix P with P[i, perm[i]] = 1, so ``P * x`` reorders rows by perm."""
-    n = len(perm)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i, j in enumerate(perm):
-        out[i][j] = Fraction(1)
-    return Matrix(out, cols=n)

@@ -19,8 +19,8 @@ from .fracbound import frac_bound
 from .integralize import IlpInstance, MilpInstance, choose_scale, integralize, recover
 from .linalg import Matrix, SingularMatrixError, mat_inverse
 from .simplex import SolveResult, SolveStats, lp_solve_exact, reduce_rows
-from .structure import (CapExceededError, TdStats, decomposition_for_matrix,
-                        restrict_decomposition, td_stats)
+from .structure import (CapExceededError, TdDecomposition, TdStats,
+                        decomposition_for_matrix, restrict_decomposition, td_stats)
 
 
 def vertex_enumerate(a: Matrix, b: Sequence, lower: Sequence, upper: Sequence,
@@ -104,6 +104,7 @@ def ilp_solve(inst: IlpInstance, node_cap: Optional[int] = None) -> SolveResult:
 
     def push(lo: tuple[int, ...], up: tuple[int, ...]) -> None:
         res = lp_solve_exact(matrix, inst.b, lo, up, inst.c)
+        stats.pivots += res.stats.pivots
         if res.status != "optimal":
             return
         heapq.heappush(heap, (res.objective, next(counter), res, lo, up))
@@ -202,8 +203,7 @@ class PipelineReport:
         lines = [f"side={self.side}"]
         for tag, st in (("primal", self.primal_stats), ("dual", self.dual_stats)):
             if st is not None:
-                ks = ",".join(str(k) for k in st.level_heights)
-                lines.append(f"td_{tag}=height:{st.height};ttd:{st.topological_height};k:{ks}")
+                lines.append(st.machine_line(tag))
         lines.append(f"m_source={self.m_source}")
         lines.append(f"m={self.m_value}")
         lines.append(f"scale={self.scale}")
@@ -229,6 +229,20 @@ def _empirical_m(inst: MilpInstance, options: PipelineOptions) -> int:
     return m_val
 
 
+def choose_side(matrix: Matrix, side: str,
+                exact_td_cap: int) -> tuple[str, dict[str, TdDecomposition]]:
+    """Resolve side and return it with the decompositions made on the way.
+
+    "auto" decomposes both interaction graphs and takes the side of lower
+    treedepth height, primal on ties; an explicit side is decomposed alone.
+    """
+    sides = ("primal", "dual") if side == "auto" else (side,)
+    fs = {s: decomposition_for_matrix(matrix, s, "auto", exact_td_cap) for s in sides}
+    if side == "auto":
+        side = "primal" if td_stats(fs["primal"]).height <= td_stats(fs["dual"]).height else "dual"
+    return side, fs
+
+
 def milp_solve(inst: MilpInstance,
                options: Optional[PipelineOptions] = None) -> tuple[SolveResult, PipelineReport]:
     """Solve a mixed instance by scaling it onto the integer grid.
@@ -242,14 +256,13 @@ def milp_solve(inst: MilpInstance,
     report = PipelineReport()
     full = inst.matrix
 
-    f_primal = decomposition_for_matrix(full, "primal", "auto", options.exact_td_cap)
-    f_dual = decomposition_for_matrix(full, "dual", "auto", options.exact_td_cap)
+    side, fs = choose_side(full, options.side, options.exact_td_cap)
+    for s in ("primal", "dual"):  # the report shows both sides
+        if s not in fs:
+            fs[s] = decomposition_for_matrix(full, s, "auto", options.exact_td_cap)
+    f_primal, f_dual = fs["primal"], fs["dual"]
     report.primal_stats = td_stats(f_primal)
     report.dual_stats = td_stats(f_dual)
-    if options.side == "auto":
-        side = "primal" if report.primal_stats.height <= report.dual_stats.height else "dual"
-    else:
-        side = options.side
     report.side = side
 
     if inst.q == 0:

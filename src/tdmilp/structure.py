@@ -187,6 +187,11 @@ class TdStats:
     topological_height: int
     level_heights: tuple[int, ...]
 
+    def machine_line(self, tag: str) -> str:
+        """The ``td_<tag>=...`` line of ``--format machine`` output."""
+        ks = ",".join(str(k) for k in self.level_heights)
+        return f"td_{tag}=height:{self.height};ttd:{self.topological_height};k:{ks}"
+
 
 def validate_td(g: Graph, f: TdDecomposition) -> bool:
     """True iff every edge of g joins an ancestor-descendant pair of f."""

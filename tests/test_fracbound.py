@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdmilp.families import FamilySpec, generate
 from tdmilp.fracbound import (CapExceededError, PeelStep, SplitTrace,
@@ -24,6 +26,14 @@ def invertible_random_td(seed, n, t=4, magnitude=3):
     a = structured_invertible_matrix(rng, n, t, magnitude)
     assert mat_det(a) != 0
     return a
+
+
+@st.composite
+def sparse_square(draw):
+    n = draw(st.integers(3, 7))
+    entries = draw(st.lists(st.sampled_from((0, 0, 0, 0, 0, -2, -1, 1, 2)),
+                            min_size=n * n, max_size=n * n))
+    return Matrix([entries[i * n:(i + 1) * n] for i in range(n)])
 
 
 def collect_peels(trace):
@@ -88,6 +98,19 @@ class TestStructuredInverse:
                 assert peel.beta <= fr_b1 ** (peel.m1 ** 2)
                 found += 1
         assert found > 0
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    @settings(max_examples=250, deadline=None)
+    @given(a=sparse_square())
+    def test_matches_direct_inverse_on_sparse(self, mode, a):
+        # sparse matrices reach peels whose row and column permutations are
+        # not the identity, which the structured generators above never do
+        f = decomposition_for_matrix(a, "primal", mode)
+        if mat_det(a) == 0:
+            with pytest.raises(SingularMatrixError):
+                structured_inverse(a, f)
+        else:
+            assert structured_inverse(a, f)[0] == mat_inverse(a)
 
     def test_singular_rejected(self):
         a = Matrix([[1, 1], [1, 1]])

@@ -5,6 +5,7 @@ import pytest
 
 from tdmilp.integralize import MilpInstance, pure_ilp
 from tdmilp.linalg import Matrix
+from tdmilp.simplex import lp_solve_exact
 from tdmilp.solver import (PipelineOptions, ilp_solve, milp_oracle, milp_solve,
                            vertex_enumerate)
 from tdmilp.structure import CapExceededError
@@ -60,6 +61,21 @@ class TestIlpSolve:
         res = ilp_solve(inst)
         assert res.status == "optimal"
         assert res.objective == 3
+
+    def test_reports_pivots_of_every_node_lp(self, monkeypatch):
+        # the root LP is fractional (x = 3/2); both children are infeasible
+        counts = []
+
+        def counting(*args):
+            res = lp_solve_exact(*args)
+            counts.append((res.status, res.stats.pivots))
+            return res
+
+        monkeypatch.setattr("tdmilp.solver.lp_solve_exact", counting)
+        res = ilp_solve(pure_ilp(Matrix([[2]]), (3,), (0,), (0,), (2,)))
+        assert res.status == "infeasible"
+        assert [st for st, _ in counts] == ["optimal", "infeasible", "infeasible"]
+        assert res.stats.pivots == sum(p for _, p in counts) > 0
 
     def test_against_box_enumeration(self):
         rng = random.Random(7)
