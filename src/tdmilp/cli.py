@@ -1,7 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 infeasible, 2 usage or parse error, 3 a configured
-cap was exceeded, 4 internal invariant violation.
+Exit codes: 0 success, 1 infeasible, 2 usage or parse error (a singular or
+malformed matrix included), 3 a configured cap was exceeded, 4 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .fracbound import frac_bound, structured_inverse
 from .families import (DESCRIPTOR_FAMILIES, MATRIX_FAMILIES, FamilySpec,
                        MipDescriptor, generate, verify_family)
 from .integralize import IlpInstance
-from .linalg import Matrix, fractionality, mat_inverse, parse_matrix
+from .linalg import LinalgError, Matrix, fractionality, mat_inverse, parse_matrix
 from .solver import PipelineOptions, choose_side, milp_oracle, milp_solve
 from .structure import (CapExceededError, StructureError,
                         decomposition_for_matrix, td_stats)
@@ -212,7 +213,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, LinalgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CertCapError as exc:

@@ -16,7 +16,8 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .blocks import graft_path_above, primal_decompose
-from .linalg import Matrix, SingularMatrixError, block_diagonal, mat_inverse
+from .linalg import (Matrix, SingularMatrixError, block_diagonal, forward_eliminate,
+                     mat_inverse)
 from .structure import CapExceededError as _BaseCapError
 from .structure import (StructureError, TdDecomposition, TdStats, primal_graph,
                         restrict_decomposition, td_stats, validate_td)
@@ -158,20 +159,11 @@ def _greedy_invertible_columns(strip: Matrix) -> list[int]:
     """Leftmost column subset of full row rank, grown by exact rank tests."""
     m = strip.rows
     chosen: list[int] = []
-    basis: list[list[Fraction]] = []  # row-echelon scratch of chosen columns (as rows)
-    for j in range(strip.cols):
-        if len(chosen) == m:
-            break
-        cand = list(strip.col(j))
-        # eliminate against current basis vectors
-        for vec in basis:
-            lead = next(k for k, x in enumerate(vec) if x != 0)
-            if cand[lead] != 0:
-                f = cand[lead] / vec[lead]
-                cand = [x - f * y for x, y in zip(cand, vec)]
-        if any(x != 0 for x in cand):
-            basis.append(cand)
+    for j, pivot in forward_eliminate(strip.transpose().row_lists(), m):
+        if pivot is not None:
             chosen.append(j)
+            if len(chosen) == m:
+                break
     if len(chosen) != m:
         raise SingularMatrixError("block strip does not have full row rank")
     return chosen

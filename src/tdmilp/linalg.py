@@ -3,13 +3,16 @@
 Scalars are stdlib ``fractions.Fraction`` values, which are always kept in
 lowest terms with a positive denominator.  Matrices are immutable, dense and
 row-major; every operation is exact, there is no floating point anywhere.
+Determinant, inverse and rank (and the row reduction and column basis
+elsewhere in the package) all run the one elimination kernel,
+``forward_eliminate``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Rational = Fraction
 
@@ -86,9 +89,6 @@ class Matrix:
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self._data[i]
-
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self._data)
 
     def entries(self) -> Iterator[Fraction]:
         for r in self._data:
@@ -186,36 +186,49 @@ def parse_matrix(text: str) -> Matrix:
     return Matrix(rows)
 
 
+def forward_eliminate(rows: list[list[Fraction]],
+                      width: int) -> Iterator[tuple[int, Optional[int]]]:
+    """The Gaussian-elimination kernel: greedy forward elimination in row order.
+
+    Works on ``rows`` in place.  Each row is reduced against the pivot rows
+    before it; its pivot is then its first nonzero entry among the first width,
+    or None when those entries are all zero (the row depends on the rows
+    before it).  Entries past width (a right-hand side, an identity block) are
+    carried along.  Yields ``(i, pivot)`` as row i is finished, so a caller
+    can stop early.
+    """
+    pivots: list[tuple[list[Fraction], int]] = []
+    for i, row in enumerate(rows):
+        for prow, c in pivots:
+            if row[c] != 0:
+                f = row[c] / prow[c]
+                row = [x - f * y if y else x for x, y in zip(row, prow)]
+        rows[i] = row
+        pivot = next((j for j in range(width) if row[j] != 0), None)
+        if pivot is not None:
+            pivots.append((row, pivot))
+        yield i, pivot
+
+
 def mat_det(m: Matrix) -> Fraction:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
+    """Exact determinant: the product of the elimination pivots, signed by the
+    parity of their column order (0 at the first dependent row)."""
     if not m.is_square():
         raise DimensionError("determinant needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
     a = m.row_lists()
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss update: the division by the previous pivot is exact
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
-        prev = a[k][k]
-    return a[n - 1][n - 1] if sign == 1 else -a[n - 1][n - 1]
+    det = Fraction(1)
+    cols: list[int] = []
+    for i, pivot in forward_eliminate(a, m.cols):
+        if pivot is None:
+            return Fraction(0)
+        det *= a[i][pivot]
+        cols.append(pivot)
+    inversions = sum(c > d for k, c in enumerate(cols) for d in cols[k + 1:])
+    return -det if inversions % 2 else det
 
 
 def mat_inverse(m: Matrix) -> Matrix:
-    """Exact inverse via elimination with full pivoting.
+    """Exact inverse: forward elimination of ``(m | I)``, then back substitution.
 
     Raises SingularMatrixError when no inverse exists.  The returned matrix
     satisfies ``m * inverse == identity`` exactly.
@@ -223,66 +236,30 @@ def mat_inverse(m: Matrix) -> Matrix:
     if not m.is_square():
         raise DimensionError("inverse needs a square matrix")
     n = m.rows
-    if n == 0:
-        return Matrix([], cols=0)
-    a = m.row_lists()
-    inv = Matrix.identity(n).row_lists()
-    col_of = list(range(n))  # col_of[k] = original column eliminated at step k
-    for k in range(n):
-        # full pivoting: largest |entry| in the remaining block, ties by position
-        best = None
-        for i in range(k, n):
-            for j in range(k, n):
-                v = abs(a[i][j])
-                if v != 0 and (best is None or v > best[0]):
-                    best = (v, i, j)
-        if best is None:
+    a = [list(m.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    cols: list[int] = []
+    for _, pivot in forward_eliminate(a, n):
+        if pivot is None:
             raise SingularMatrixError("matrix is singular")
-        _, pi, pj = best
-        if pi != k:
-            a[k], a[pi] = a[pi], a[k]
-            inv[k], inv[pi] = inv[pi], inv[k]
-        if pj != k:
-            for row in a:
-                row[k], row[pj] = row[pj], row[k]
-            col_of[k], col_of[pj] = col_of[pj], col_of[k]
-        piv = a[k][k]
-        a[k] = [x / piv for x in a[k]]
-        inv[k] = [x / piv for x in inv[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[k])]
-    # row k of the reduced system solves for variable col_of[k]
+        cols.append(pivot)
+    # row i reads a[i][cols[i]] * x[cols[i]] + sum_{k>i} a[i][cols[k]] * x[cols[k]]
+    # = a[i][n:], where x[j] is row j of the inverse
     out: list[list[Fraction]] = [[] for _ in range(n)]
-    for k in range(n):
-        out[col_of[k]] = inv[k]
+    for i in reversed(range(n)):
+        row = a[i]
+        acc = row[n:]
+        for k in range(i + 1, n):
+            f = row[cols[k]]
+            if f != 0:
+                acc = [x - f * y if y else x for x, y in zip(acc, out[cols[k]])]
+        piv = row[cols[i]]
+        out[cols[i]] = [x / piv for x in acc]
     return Matrix(out, cols=n)
 
 
 def mat_rank(m: Matrix) -> int:
-    """Exact rank by Gaussian elimination."""
-    a = m.row_lists()
-    rank = 0
-    for j in range(m.cols):
-        pivot_row = None
-        for i in range(rank, m.rows):
-            if a[i][j] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        piv = a[rank][j]
-        for i in range(rank + 1, m.rows):
-            if a[i][j] != 0:
-                f = a[i][j] / piv
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == m.rows:
-            break
-    return rank
+    """Exact rank: the number of independent rows found by elimination."""
+    return sum(pivot is not None for _, pivot in forward_eliminate(m.row_lists(), m.cols))
 
 
 def fractionality(m: Matrix) -> int:

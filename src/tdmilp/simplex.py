@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import Matrix
+from .linalg import Matrix, forward_eliminate
 
 
 class SolverError(Exception):
@@ -47,20 +47,11 @@ def reduce_rows(a: Matrix, b: Sequence[Fraction]) -> Optional[tuple[Matrix, tupl
     """
     work = [list(a.row(i)) + [Fraction(b[i])] for i in range(a.rows)]
     keep: list[int] = []
-    pivots: list[tuple[int, int]] = []  # (work row index, pivot column)
-    for i in range(a.rows):
-        row = work[i]
-        for wr, pc in pivots:
-            if row[pc] != 0:
-                f = row[pc] / work[wr][pc]
-                work[i] = row = [x - f * y for x, y in zip(row, work[wr])]
-        pivot_col = next((j for j in range(a.cols) if row[j] != 0), None)
-        if pivot_col is None:
-            if row[a.cols] != 0:
-                return None  # 0 = nonzero: inconsistent system
-            continue
-        pivots.append((i, pivot_col))
-        keep.append(i)
+    for i, pivot in forward_eliminate(work, a.cols):
+        if pivot is not None:
+            keep.append(i)
+        elif work[i][a.cols] != 0:
+            return None  # 0 = nonzero: inconsistent system
     return a.submatrix(keep, range(a.cols)), tuple(Fraction(b[i]) for i in keep)
 
 

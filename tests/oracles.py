@@ -1,12 +1,13 @@
 """Independent brute-force oracles used to freeze and cross-check expectations.
 
 Everything here deliberately avoids the library's own algorithms: determinants
-come from permutation expansion, treedepth from a bottom-up subset DP, integer
-optima from full box enumeration.
+come from permutation expansion, ranks and column bases from minors,
+treedepth from a bottom-up subset DP, integer optima from full box
+enumeration.
 """
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from tdmilp.linalg import Matrix
 
@@ -29,6 +30,24 @@ def det_by_permutation_expansion(m: Matrix) -> Fraction:
                 break
         total += term
     return total
+
+
+def rank_by_minors(m: Matrix) -> int:
+    """Largest k with a nonzero k x k minor (only for tiny matrices)."""
+    for k in range(min(m.rows, m.cols), 0, -1):
+        for rows in combinations(range(m.rows), k):
+            for cols in combinations(range(m.cols), k):
+                if det_by_permutation_expansion(m.submatrix(rows, cols)) != 0:
+                    return k
+    return 0
+
+
+def leftmost_column_basis(m: Matrix):
+    """Lexicographically first column set with a nonzero full-row minor, or None."""
+    for cols in combinations(range(m.cols), m.rows):
+        if det_by_permutation_expansion(m.submatrix(range(m.rows), cols)) != 0:
+            return list(cols)
+    return None
 
 
 def treedepth_by_subset_dp(g) -> int:

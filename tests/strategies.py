@@ -1,0 +1,35 @@
+"""Hypothesis strategies shared by the property tests."""
+
+from hypothesis import strategies as st
+
+from tdmilp.integralize import MilpInstance
+from tdmilp.linalg import Matrix
+
+
+@st.composite
+def int_matrices(draw, square=False):
+    """Integer matrices up to 5x6 with entries in -2..2, empty shapes included."""
+    rows = draw(st.integers(0, 5))
+    cols = rows if square else draw(st.integers(0, 6))
+    entries = draw(st.lists(st.integers(-2, 2), min_size=rows * cols,
+                            max_size=rows * cols))
+    return Matrix([entries[i * cols:(i + 1) * cols] for i in range(rows)], cols=cols)
+
+
+@st.composite
+def mixed_instances(draw):
+    """Mixed instances with up to 3 rows and 5 variables (integer columns
+    first, any split), boxes at most 3 wide."""
+    rows = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    z = draw(st.integers(0, n))
+    coeff = st.integers(-2, 2)
+    a = [draw(st.lists(coeff, min_size=n, max_size=n)) for _ in range(rows)]
+    lower = draw(st.lists(st.integers(-3, 0), min_size=n, max_size=n))
+    upper = [lo + draw(st.integers(0, 3)) for lo in lower]
+    return MilpInstance(a_int=Matrix([r[:z] for r in a], cols=z),
+                        a_frac=Matrix([r[z:] for r in a], cols=n - z),
+                        b=tuple(draw(st.lists(st.integers(-3, 3), min_size=rows,
+                                              max_size=rows))),
+                        c=tuple(draw(st.lists(coeff, min_size=n, max_size=n))),
+                        lower=tuple(lower), upper=tuple(upper))

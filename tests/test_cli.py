@@ -9,12 +9,12 @@ from tdmilp.fileformat import ParseError, parse_instance, serialize_instance
 from tdmilp.linalg import Matrix
 
 
-def run_cli(args, stdin=""):
+def run_cli(args, stdin="", err=None):
     buf = io.StringIO()
     old_stdin = sys.stdin
     sys.stdin = io.StringIO(stdin)
     try:
-        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err or io.StringIO()):
             code = main(args)
     finally:
         sys.stdin = old_stdin
@@ -151,6 +151,18 @@ class TestCommands:
     def test_parse_error_exit(self):
         code, _ = run_cli(["solve"], stdin="not an instance")
         assert code == 2
+
+    @pytest.mark.parametrize("matrix_text, message", [
+        ("1 1\n1 1\n", "singular"),
+        ("1 2 3\n4 5 6\n", "not square"),
+        ("1 2\n3\n", "ragged"),
+    ], ids=["singular", "non_square", "ragged"])
+    def test_invert_bad_matrix_is_usage_error(self, matrix_text, message):
+        err = io.StringIO()
+        code, out = run_cli(["invert"], stdin=matrix_text, err=err)
+        assert code == 2
+        assert out == ""
+        assert err.getvalue().startswith("error: ") and message in err.getvalue()
 
 
 class TestDeterminism:

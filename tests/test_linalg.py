@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+from tdmilp.fracbound import _greedy_invertible_columns
 from tdmilp.linalg import (DimensionError, Matrix, SingularMatrixError,
                            fractionality, mat_det, mat_inverse, mat_rank,
                            parse_matrix, rational)
-from oracles import det_by_permutation_expansion
+from oracles import det_by_permutation_expansion, leftmost_column_basis, rank_by_minors
+from strategies import int_matrices
 
 
 def bidiagonal(n):
@@ -154,3 +157,33 @@ class TestMatrixBasics:
         assert (a * b)[0, 0] == 6
         with pytest.raises(DimensionError):
             b * b
+
+
+class TestEliminationProperties:
+    """The callers of the elimination kernel against brute-force minors."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=int_matrices())
+    def test_rank_is_largest_nonzero_minor(self, m):
+        assert mat_rank(m) == rank_by_minors(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=int_matrices())
+    def test_greedy_columns_are_leftmost_basis(self, m):
+        expected = leftmost_column_basis(m)
+        if expected is None:
+            with pytest.raises(SingularMatrixError):
+                _greedy_invertible_columns(m)
+        else:
+            assert _greedy_invertible_columns(m) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=int_matrices(square=True))
+    def test_inverse_exists_iff_determinant_nonzero(self, m):
+        det = det_by_permutation_expansion(m)
+        assert mat_det(m) == det
+        if det == 0:
+            with pytest.raises(SingularMatrixError):
+                mat_inverse(m)
+        else:
+            assert mat_inverse(m) * m == Matrix.identity(m.rows)

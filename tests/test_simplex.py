@@ -1,9 +1,14 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from tdmilp.linalg import Matrix, mat_det
 from tdmilp.simplex import lp_solve_exact, reduce_rows
 from tdmilp.solver import vertex_enumerate
+from oracles import rank_by_minors
+from strategies import int_matrices
 
 
 def bidiagonal(n):
@@ -120,3 +125,17 @@ class TestReduceRows:
         red, b = out
         assert red == Matrix([[1, 2], [1, 0]])
         assert b == (Fraction(3), Fraction(1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=int_matrices(), data=st.data())
+    def test_keeps_exactly_the_rank_raising_rows(self, a, data):
+        b = data.draw(st.lists(st.integers(-2, 2), min_size=a.rows, max_size=a.rows))
+        out = reduce_rows(a, [Fraction(v) for v in b])
+        with_rhs = a.hstack(Matrix([[v] for v in b], cols=1))
+        if rank_by_minors(with_rhs) > rank_by_minors(a):
+            assert out is None
+            return
+        keep = [i for i in range(a.rows)
+                if rank_by_minors(a.submatrix(range(i + 1), range(a.cols)))
+                > rank_by_minors(a.submatrix(range(i), range(a.cols)))]
+        assert out == (a.submatrix(keep, range(a.cols)), tuple(Fraction(b[i]) for i in keep))

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from tdmilp.integralize import MilpInstance, pure_ilp
 from tdmilp.linalg import Matrix
@@ -10,6 +11,7 @@ from tdmilp.solver import (PipelineOptions, ilp_solve, milp_oracle, milp_solve,
                            vertex_enumerate)
 from tdmilp.structure import CapExceededError
 from oracles import ilp_by_box_enumeration
+from strategies import mixed_instances
 
 
 def bidiagonal(n):
@@ -162,6 +164,21 @@ class TestPipeline:
             else:
                 infeasible += 1
         assert optimal and infeasible  # the sweep covers both outcomes
+
+    @settings(max_examples=250, deadline=None)
+    @given(inst=mixed_instances())
+    def test_agrees_with_oracle(self, inst):
+        res, _ = milp_solve(inst)
+        ora = milp_oracle(inst)
+        assert res.status == ora.status
+        if res.status != "optimal":
+            return
+        assert res.objective == ora.objective
+        x = res.x
+        assert inst.matrix.apply_vector(x) == tuple(Fraction(v) for v in inst.b)
+        assert all(lo <= v <= up for lo, v, up in zip(inst.lower, x, inst.upper))
+        assert all(v.denominator == 1 for v in x[:inst.z])
+        assert sum(c * v for c, v in zip(inst.c, x)) == res.objective
 
     def test_scale_override(self):
         inst = MilpInstance(a_int=Matrix([[]], cols=0), a_frac=Matrix([[2]]),
