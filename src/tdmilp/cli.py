@@ -101,9 +101,8 @@ def _cmd_oracle(args) -> int:
 def _cmd_invert(args) -> int:
     matrix = parse_matrix(_read_input(args.path))
     f = decomposition_for_matrix(matrix, "primal", "auto", args.exact_td_cap)
-    inv, trace = structured_inverse(matrix, f)
-    direct = mat_inverse(matrix)
-    if inv != direct or trace.replay() != direct:
+    inv, _ = structured_inverse(matrix, f)
+    if inv != mat_inverse(matrix):
         print("status=mismatch")
         return EXIT_INVARIANT
     print("status=ok")

@@ -1,23 +1,25 @@
 """Exact ILP branch and bound, the MILP scaling pipeline, and oracles.
 
 The pipeline solves a mixed instance by bounding the denominators its optimal
-continuous part can need (certificate when affordable, enumeration fallback
+continuous part can need (certificate when affordable, determinant scale
 otherwise), scaling onto the integer grid, solving the resulting pure ILP
-exactly, and mapping the optimum back.
+exactly, and mapping the optimum back.  ``vertex_enumerate`` and
+``milp_oracle`` are brute-force oracles; the pipeline uses neither.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .fracbound import CapExceededError as CertCapError
 from .fracbound import frac_bound
 from .integralize import IlpInstance, MilpInstance, choose_scale, integralize, recover
-from .linalg import Matrix, SingularMatrixError, mat_inverse
+from .linalg import Matrix, SingularMatrixError, forward_eliminate, mat_det, mat_inverse
 from .simplex import SolveResult, SolveStats, lp_solve_exact, reduce_rows
 from .structure import (CapExceededError, TdDecomposition, TdStats,
                         decomposition_for_matrix, restrict_decomposition, td_stats)
@@ -136,16 +138,6 @@ def ilp_solve(inst: IlpInstance, node_cap: Optional[int] = None) -> SolveResult:
                        basis=incumbent.basis, stats=stats)
 
 
-def _integer_boxes(inst: MilpInstance, cap: int) -> Iterator[tuple[int, ...]]:
-    volume = 1
-    for j in range(inst.z):
-        volume *= inst.upper[j] - inst.lower[j] + 1
-        if volume > cap:
-            raise CapExceededError(f"integer box volume exceeds {cap}")
-    ranges = [range(inst.lower[j], inst.upper[j] + 1) for j in range(inst.z)]
-    return itertools.product(*ranges)
-
-
 def milp_oracle(inst: MilpInstance, box_cap: int = 10 ** 6) -> SolveResult:
     """Ground truth by enumerating every integer assignment.
 
@@ -155,9 +147,12 @@ def milp_oracle(inst: MilpInstance, box_cap: int = 10 ** 6) -> SolveResult:
     z = inst.z
     if z == 0:
         return lp_solve_exact(inst.matrix, inst.b, inst.lower, inst.upper, inst.c)
+    if math.prod(inst.upper[j] - inst.lower[j] + 1 for j in range(z)) > box_cap:
+        raise CapExceededError(f"integer box volume exceeds {box_cap}")
     best_obj: Optional[Fraction] = None
     best_x: Optional[tuple[Fraction, ...]] = None
-    for assign in _integer_boxes(inst, box_cap):
+    ranges = [range(inst.lower[j], inst.upper[j] + 1) for j in range(z)]
+    for assign in itertools.product(*ranges):
         residual_b = [inst.b[i] - sum(inst.a_int[i, j] * assign[j] for j in range(z))
                       for i in range(inst.rows)]
         res = lp_solve_exact(inst.a_frac, residual_b, inst.lower[z:], inst.upper[z:],
@@ -173,15 +168,16 @@ def milp_oracle(inst: MilpInstance, box_cap: int = 10 ** 6) -> SolveResult:
     return SolveResult(status="optimal", x=best_x, objective=best_obj)
 
 
+M_CAP = 10 ** 4  # largest certificate the scaling stage will accept
+BASIS_CAP = 10 ** 4  # most column bases the determinant scale will try
+
+
 @dataclass
 class PipelineOptions:
     side: str = "auto"  # primal | dual | auto
     scale_override: Optional[int] = None
     exact_td_cap: int = 16
     bit_cap: int = 10 ** 6
-    m_cap: int = 10 ** 4  # largest certificate the scaling stage will accept
-    box_cap: int = 10 ** 6
-    vertex_cap: int = 12
     node_cap: Optional[int] = None
 
 
@@ -192,7 +188,7 @@ class PipelineReport:
     side: str = ""
     primal_stats: Optional[TdStats] = None
     dual_stats: Optional[TdStats] = None
-    m_source: str = ""  # certificate | empirical | trivial | override
+    m_source: str = ""  # certificate | determinant | trivial | override
     m_value: int = 1
     scale: int = 1
     ilp_nodes: int = 0
@@ -213,20 +209,24 @@ class PipelineReport:
         return lines
 
 
-def _empirical_m(inst: MilpInstance, options: PipelineOptions) -> int:
-    """Largest denominator over the continuous-part vertices, across every
-    integer assignment.  Valid at enumeration scale only."""
-    z = inst.z
-    m_val = 1
-    for assign in _integer_boxes(inst, options.box_cap):
-        residual_b = [inst.b[i] - sum(inst.a_int[i, j] * assign[j] for j in range(z))
-                      for i in range(inst.rows)]
-        for x in vertex_enumerate(inst.a_frac, residual_b, inst.lower[z:],
-                                  inst.upper[z:], cap=options.vertex_cap):
-            for v in x:
-                if v.denominator > m_val:
-                    m_val = v.denominator
-    return m_val
+def _determinant_scale(a_frac: Matrix) -> tuple[int, int]:
+    """lcm and largest of |det B| over the bases B of a_frac's independent rows.
+
+    By Cramer's rule every vertex of ``a_frac y = r`` within integral bounds,
+    r integral, has denominators dividing |det B| for its basis B, whatever
+    the integer part fixed r; so the lcm is a valid scale.  Refuses more than
+    BASIS_CAP candidate bases before computing any determinant.
+    """
+    keep = [i for i, pivot in forward_eliminate(a_frac.row_lists(), a_frac.cols)
+            if pivot is not None]
+    q, r = a_frac.cols, len(keep)
+    if math.comb(q, r) > BASIS_CAP:
+        raise CapExceededError(f"determinant scale limited to {BASIS_CAP} bases, "
+                               f"got C({q},{r})")
+    dets = [abs(int(mat_det(a_frac.submatrix(keep, cols))))
+            for cols in itertools.combinations(range(q), r)]
+    dets = [d for d in dets if d]
+    return math.lcm(*dets), max(dets)
 
 
 def choose_side(matrix: Matrix, side: str,
@@ -248,9 +248,10 @@ def milp_solve(inst: MilpInstance,
     """Solve a mixed instance by scaling it onto the integer grid.
 
     Stages: analyse both interaction graphs and pick the shallower side;
-    obtain a denominator bound M (fractionality certificate when it is usable,
-    else the enumeration fallback); scale by lcm(1..M); solve the pure ILP by
-    branch and bound; recover and validate the mixed optimum.
+    obtain a scale (lcm(1..M) for the fractionality certificate M when it is
+    at most M_CAP, else the lcm of the continuous part's basis determinants);
+    solve the scaled pure ILP by branch and bound; recover and validate the
+    mixed optimum.
     """
     options = options or PipelineOptions()
     report = PipelineReport()
@@ -279,7 +280,7 @@ def milp_solve(inst: MilpInstance,
         report.m_source = "override"
         report.m_value = scale
     else:
-        m_val = None
+        scale = None
         try:
             if side == "primal":
                 cols = list(range(inst.z, inst.z + inst.q))
@@ -287,23 +288,22 @@ def milp_solve(inst: MilpInstance,
                 cert = frac_bound(inst.a_frac, f_q, "primal", bit_cap=options.bit_cap)
             else:
                 cert = frac_bound(inst.a_frac, f_dual, "dual", bit_cap=options.bit_cap)
-            if cert.bound <= options.m_cap:
-                m_val = cert.bound
+            if cert.bound <= M_CAP:
                 report.m_source = "certificate"
+                report.m_value = cert.bound
+                scale = choose_scale(cert.bound)
             else:
-                report.notes.append("certificate exceeded usable cap; empirical fallback")
+                report.notes.append("certificate exceeded usable cap; determinant scale")
         except CertCapError as exc:
             report.notes.append(
-                f"certificate capped at log2~{exc.log2_estimate:.3g}; empirical fallback")
-        if m_val is None:
+                f"certificate capped at log2~{exc.log2_estimate:.3g}; determinant scale")
+        if scale is None:
             try:
-                m_val = _empirical_m(inst, options)
-                report.m_source = "empirical"
+                scale, report.m_value = _determinant_scale(inst.a_frac)
             except CapExceededError as exc:
                 exc.report = report  # partial report still available to callers
                 raise
-        report.m_value = m_val
-        scale = choose_scale(m_val)
+            report.m_source = "determinant"
     report.scale = scale
 
     scaled = integralize(inst, scale)

@@ -1,0 +1,45 @@
+"""Fixed instances shared by the solver and command-line tests."""
+
+import random
+
+from tdmilp.families import FamilySpec, generate
+from tdmilp.fileformat import ParsedInstance, serialize_instance
+from tdmilp.integralize import MilpInstance
+from tdmilp.linalg import Matrix
+
+
+def nfold_one_integer(free_column: bool) -> MilpInstance:
+    """The nfold t=2 k=3 matrix with column 0 integer, bounds [-2, 2] and a
+    right-hand side met by an integral point; its certificate is not usable.
+
+    With free_column, an extra zero integer column of cost 0 and bounds
+    [0, 10**6] widens the integer box past a million points without changing
+    the optimum.
+    """
+    a = generate(FamilySpec("nfold", t=2, k=3, seed=1, magnitude=2))
+    x0 = (1, 2, -1, 0, 1, -2)
+    c = (3, 1, -2, 4, 1, 2)
+    extra = [0] if free_column else []
+    return MilpInstance(
+        a_int=Matrix([[a[i, 0]] + extra for i in range(a.rows)]),
+        a_frac=Matrix([[a[i, j] for j in range(1, a.cols)] for i in range(a.rows)]),
+        b=a.apply_vector(x0),
+        c=(c[0], *extra, *c[1:]),
+        lower=(-2, *extra, *[-2] * (a.cols - 1)),
+        upper=(2, *[10 ** 6] * len(extra), *[2] * (a.cols - 1)),
+    )
+
+
+def dense_continuous() -> MilpInstance:
+    """All-continuous 7x17 instance with dense entries in +-{1, 2}: C(17, 7)
+    column bases, past the determinant scale's basis cap."""
+    rng = random.Random(5)
+    a = Matrix([[rng.choice((-2, -1, 1, 2)) for _ in range(17)] for _ in range(7)])
+    return MilpInstance(a_int=Matrix([[] for _ in range(7)], cols=0), a_frac=a,
+                        b=(0,) * 7, c=(1,) * 17, lower=(0,) * 17, upper=(1,) * 17)
+
+
+def milp_text(inst: MilpInstance) -> str:
+    """The instance as MILP v1 text, columns in instance order."""
+    n = inst.z + inst.q
+    return serialize_instance(ParsedInstance(instance=inst, to_original=tuple(range(n))))

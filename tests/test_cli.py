@@ -7,6 +7,7 @@ import pytest
 from tdmilp.cli import main
 from tdmilp.fileformat import ParseError, parse_instance, serialize_instance
 from tdmilp.linalg import Matrix
+from instances import dense_continuous, milp_text, nfold_one_integer
 
 
 def run_cli(args, stdin="", err=None):
@@ -143,6 +144,19 @@ class TestCommands:
         assert code == 0
         assert "scale=4" in out and "m_source=override" in out
         assert "x0=1/2" in out
+
+    def test_solve_wide_integer_box(self):
+        code, out = run_cli(["solve", "--format", "machine"],
+                            stdin=milp_text(nfold_one_integer(free_column=True)))
+        assert code == 0
+        assert "status=optimal" in out.splitlines()
+        assert "m_source=determinant" in out.splitlines()
+
+    def test_solve_past_basis_cap_exit_code(self):
+        err = io.StringIO()
+        code, _ = run_cli(["solve"], stdin=milp_text(dense_continuous()), err=err)
+        assert code == 3
+        assert err.getvalue().startswith("cap exceeded: ")
 
     def test_usage_error(self):
         code, _ = run_cli(["gen", "nosuch"])

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,9 +8,10 @@ from hypothesis import given, settings
 from tdmilp.integralize import MilpInstance, pure_ilp
 from tdmilp.linalg import Matrix
 from tdmilp.simplex import lp_solve_exact
-from tdmilp.solver import (PipelineOptions, ilp_solve, milp_oracle, milp_solve,
-                           vertex_enumerate)
+from tdmilp.solver import (PipelineOptions, _determinant_scale, ilp_solve, milp_oracle,
+                           milp_solve, vertex_enumerate)
 from tdmilp.structure import CapExceededError
+from instances import dense_continuous, nfold_one_integer
 from oracles import ilp_by_box_enumeration
 from strategies import mixed_instances
 
@@ -114,6 +116,44 @@ class TestMilpOracle:
         inst = pure_ilp(Matrix([[1] * 8]), (0,), (0,) * 8, (-10,) * 8, (10,) * 8)
         with pytest.raises(CapExceededError):
             milp_oracle(inst, box_cap=100)
+
+
+class TestDeterminantScale:
+    @settings(max_examples=250, deadline=None)
+    @given(inst=mixed_instances())
+    def test_divides_every_vertex_denominator(self, inst):
+        scale, m = _determinant_scale(inst.a_frac)
+        assert scale % m == 0
+        z = inst.z
+        boxes = [range(lo, up + 1) for lo, up in zip(inst.lower[:z], inst.upper[:z])]
+        for assign in itertools.product(*boxes):
+            residual = [inst.b[i] - sum(inst.a_int[i, j] * assign[j] for j in range(z))
+                        for i in range(inst.rows)]
+            for x in vertex_enumerate(inst.a_frac, residual, inst.lower[z:], inst.upper[z:]):
+                assert all(scale % v.denominator == 0 for v in x)
+
+    @pytest.mark.parametrize("rows, expected", [
+        ([[2, 3]], (6, 3)),  # bases (2) and (3): vertices y = 1/2 and y = 1/3
+        ([[2, 3], [4, 6]], (6, 3)),  # the dependent row is dropped first
+        ([[1, 1, 0], [0, 1, 2]], (2, 2)),  # bases of det 1, 2 and 2
+        ([[0, 0]], (1, 1)),  # rank 0: the empty basis
+    ])
+    def test_lcm_and_largest_determinant(self, rows, expected):
+        assert _determinant_scale(Matrix(rows)) == expected
+
+    def test_independent_of_the_integer_box(self):
+        # a free integer column widens the box past a million points; the
+        # scale depends on the continuous block alone, so the optimum stays
+        res, report = milp_solve(nfold_one_integer(free_column=True))
+        ora = milp_oracle(nfold_one_integer(free_column=False))
+        assert res.status == ora.status == "optimal"
+        assert res.objective == ora.objective
+        assert report.m_source == "determinant"
+
+    def test_basis_cap_fails_closed(self):
+        with pytest.raises(CapExceededError, match=r"C\(17,7\)") as info:
+            milp_solve(dense_continuous())
+        assert info.value.report.notes == ["certificate exceeded usable cap; determinant scale"]
 
 
 class TestPipeline:
