@@ -12,7 +12,8 @@ from tdmilp import (CapExceededError, FamilySpec, frac_bound,
                     structured_inverse)
 
 # invert through the block structure instead of plain elimination; the result
-# is identical, but every elimination factor is recorded and replayable
+# is identical, and the trace is replayable: each peel records t, u and beta,
+# and one block formula assembles every split
 a = Matrix([
     [1, 2, 0],
     [1, 0, 3],

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .linalg import Matrix
 from .structure import (Graph, StructureError, TdDecomposition, primal_graph,
-                        td_stats, validate_td)
+                        restrict_decomposition, td_stats, validate_td)
 
 
 @dataclass(frozen=True)
@@ -72,16 +72,6 @@ def top_path(f: TdDecomposition) -> list[int]:
     return path
 
 
-def _local_tree(f: TdDecomposition, vertices: list[int]) -> TdDecomposition:
-    """Subtree decomposition relabelled to local indices (vertices sorted)."""
-    index = {v: i for i, v in enumerate(vertices)}
-    parent: list[Optional[int]] = []
-    for v in vertices:
-        p = f.parent[v]
-        parent.append(index[p] if p is not None and p in index else None)
-    return TdDecomposition(parent)
-
-
 def primal_decompose(a: Matrix, f: TdDecomposition,
                      graph: Graph | None = None) -> BlockStructure:
     """Split a into border columns and diagonal blocks along f's top path.
@@ -135,7 +125,7 @@ def primal_decompose(a: Matrix, f: TdDecomposition,
         rows = tuple(block_rows[bi])
         blocks.append(Block(border=a.submatrix(rows, path),
                             diagonal=a.submatrix(rows, cols),
-                            decomposition=_local_tree(f, cols),
+                            decomposition=restrict_decomposition(f, cols),
                             row_ids=rows, col_ids=tuple(cols)))
     return BlockStructure(k1=k1, border_cols=tuple(path), blocks=tuple(blocks),
                           rows=a.rows, cols=a.cols)
@@ -182,7 +172,8 @@ def _trace_forest(a: Matrix, f: TdDecomposition, indent: str, lines: list[str]) 
             rows = [i for i in range(a.rows)
                     if any(a[i, j] != 0 for j in cols)]
             lines.append(f"{indent}component {t}: cols={list(cols)}")
-            _trace_tree(a.submatrix(rows, cols), _local_tree(f, cols), indent + "  ", lines)
+            _trace_tree(a.submatrix(rows, cols), restrict_decomposition(f, cols),
+                        indent + "  ", lines)
         return
     _trace_tree(a, f, indent, lines)
 

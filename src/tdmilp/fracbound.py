@@ -2,17 +2,17 @@
 
 Both operations follow the same recursion over the block structure of a
 matrix with a bounded-treedepth column interaction graph.  The structured
-inverse peels an invertible matrix apart block by block, recording every
-elimination factor; the certificate runs the same recursion on bounds alone
-and yields an integer that dominates the largest inverse denominator over all
-invertible column submatrices.
+inverse peels an invertible matrix apart block by block: a peel records
+``t = B1^-1*X``, ``u = U`` and the scaling beta of its Schur complement, and one
+block formula assembles every split.  The certificate runs the same recursion
+on bounds alone and yields an integer that dominates the largest inverse
+denominator over all invertible column submatrices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .blocks import graft_path_above, primal_decompose
@@ -81,68 +81,71 @@ class ForestTrace:
                           self.row_perm, self.col_perm)
 
 
-@dataclass(frozen=True)
-class PeelBase:
-    """End of a peeling chain: the leftover border square, inverted directly."""
+def _block_inverse(a_inv: Matrix, t: Matrix, u: Matrix, s_inv: Matrix) -> Matrix:
+    """Inverse of ``[[A, X], [U, D]]`` from its Schur complement ``S = D - U*t``.
 
-    matrix: Matrix
-
-    def replay(self) -> Matrix:
-        return mat_inverse(self.matrix)
+    t is ``A^-1*X`` cut to its leading columns; the columns of X past them are
+    zero.  The inverse is ``[[A^-1 + t*K, -t*S^-1], [-K, S^-1]]`` with
+    ``K = S^-1*U*A^-1``.
+    """
+    m, p, w = a_inv.rows, s_inv.rows, t.cols
+    k = s_inv * u * a_inv
+    tk = t * k.submatrix(range(w), range(m))
+    ts = t * s_inv.submatrix(range(w), range(p))
+    rows = [[x + y for x, y in zip(a_inv.row(i), tk.row(i))] + [-x for x in ts.row(i)]
+            for i in range(m)]
+    rows += [[-x for x in k.row(i)] + list(s_inv.row(i)) for i in range(p)]
+    return Matrix(rows, cols=m + p)
 
 
 @dataclass(frozen=True)
 class PeelStep:
-    """One peel: eliminate a strict block via its invertible column set.
+    """One peel of the permuted matrix ``[[B1, X], [U, D]]``: B1 is the strict
+    block on its invertible column set.
 
-    The inverse of the permuted matrix is ``e3 * diag(I, beta * rest) * e2 * e1``
-    where rest is the inverse of the beta-scaled remainder.
+    Records ``t = B1^-1*X`` (its nonzero leading columns), ``u = U`` and beta,
+    the lcm of the denominators of the Schur complement ``S = D - u*t``; rest
+    inverts ``beta*S``, so ``S^-1 = beta * rest.replay()``.
     """
 
     row_perm: tuple[int, ...]
     col_perm: tuple[int, ...]
-    chosen_cols: tuple[int, ...]
-    border_width: int
     m1: int
     b1: "InverseTrace"
-    e1: Matrix
-    e2: Matrix
-    e3: Matrix
+    t: Matrix
+    u: Matrix
     beta: int
-    rest: Union["PeelStep", PeelBase]
+    rest: Union["PeelStep", BaseTrace]
 
     def replay(self) -> Matrix:
-        inner = self.rest.replay()
-        mid = block_diagonal([Matrix.identity(self.m1), self.beta * inner])
-        return _unpermute(self.e3 * mid * self.e2 * self.e1,
-                          self.row_perm, self.col_perm)
+        inv = _block_inverse(self.b1.replay(), self.t, self.u,
+                             self.beta * self.rest.replay())
+        return _unpermute(inv, self.row_perm, self.col_perm)
 
 
 @dataclass(frozen=True)
 class SplitTrace:
-    """Border split: strict blocks (with the border) left, square blocks right."""
+    """Border split: strict blocks (with the border) left, square blocks right.
+
+    The permuted matrix is ``[[q1, 0], [lower_left, Q2]]`` with Q2 the block
+    diagonal of q2_parts, so it replays as a peel with zero t.
+    """
 
     row_perm: tuple[int, ...]
     col_perm: tuple[int, ...]
     q1_size: int
-    q1: Union[PeelStep, PeelBase]
+    q1: Union[PeelStep, BaseTrace]
     q2_parts: tuple["InverseTrace", ...]
     lower_left: Matrix
 
     def replay(self) -> Matrix:
-        q1_inv = self.q1.replay()
         q2_inv = block_diagonal([p.replay() for p in self.q2_parts])
-        corr = -1 * (q2_inv * self.lower_left * q1_inv)
-        n = len(self.row_perm)
-        rows = []
-        for i in range(self.q1_size):
-            rows.append(list(q1_inv.row(i)) + [Fraction(0)] * (n - self.q1_size))
-        for i in range(n - self.q1_size):
-            rows.append(list(corr.row(i)) + list(q2_inv.row(i)))
-        return _unpermute(Matrix(rows, cols=n), self.row_perm, self.col_perm)
+        inv = _block_inverse(self.q1.replay(), Matrix.zeros(self.q1_size, 0),
+                             self.lower_left, q2_inv)
+        return _unpermute(inv, self.row_perm, self.col_perm)
 
 
-InverseTrace = Union[BaseTrace, ForestTrace, PeelStep, PeelBase, SplitTrace]
+InverseTrace = Union[BaseTrace, ForestTrace, PeelStep, SplitTrace]
 
 
 @dataclass(frozen=True)
@@ -171,7 +174,7 @@ def _greedy_invertible_columns(strip: Matrix) -> list[int]:
 
 def _invert_q1(q: Matrix, border: list[int],
                blocks: list[tuple[list[int], list[int], TdDecomposition]]
-               ) -> Union[PeelStep, PeelBase]:
+               ) -> Union[PeelStep, BaseTrace]:
     """Peel the strict blocks of q one at a time.
 
     border and blocks hold column/row positions local to q; every block's rows
@@ -179,7 +182,7 @@ def _invert_q1(q: Matrix, border: list[int],
     peels because only leftover columns are ever modified.
     """
     if not blocks:
-        return PeelBase(q)
+        return BaseTrace(q)
 
     rows1, cols1, f1 = blocks[0]
     m1 = len(rows1)
@@ -191,7 +194,6 @@ def _invert_q1(q: Matrix, border: list[int],
     hat = graft_path_above(f1, len(border))
     b1 = strip.submatrix(range(m1), chosen_rel)
     b1_trace = _structured(b1, restrict_decomposition(hat, chosen_rel))
-    b1_inv = b1_trace.replay()
 
     rest_cand = [c for c in cand_cols if c not in set(chosen)]
     other_cols = [c for _, cs, _ in blocks[1:] for c in cs]
@@ -201,36 +203,17 @@ def _invert_q1(q: Matrix, border: list[int],
     qp = q.submatrix(row_perm, col_perm)
     s = q.rows
 
+    # the strip is zero past the leftover candidates, and so is t
     n1 = len(rest_cand)
-    t_mat = b1_inv * qp.submatrix(range(m1), range(m1, m1 + n1))
-    u_mat = qp.submatrix(range(m1, s), range(m1))
-
-    e1 = block_diagonal([b1_inv, Matrix.identity(s - m1)])
-    e2_rows = []
-    for i in range(s):
-        row = [Fraction(0)] * s
-        row[i] = Fraction(1)
-        if i >= m1:
-            for j in range(m1):
-                row[j] = -u_mat[i - m1, j]
-        e2_rows.append(row)
-    e2 = Matrix(e2_rows, cols=s)
-    e3_rows = []
-    for i in range(s):
-        row = [Fraction(0)] * s
-        row[i] = Fraction(1)
-        if i < m1:
-            for j in range(n1):
-                row[m1 + j] = -t_mat[i, j]
-        e3_rows.append(row)
-    e3 = Matrix(e3_rows, cols=s)
-
-    reduced = e2 * (e1 * qp) * e3
-    q2pp = reduced.submatrix(range(m1, s), range(m1, s))
-    beta = 1
-    for x in q2pp.entries():
-        beta = beta * x.denominator // math.gcd(beta, x.denominator)
-    q1p = beta * q2pp
+    t = b1_trace.replay() * qp.submatrix(range(m1), range(m1, m1 + n1))
+    u = qp.submatrix(range(m1, s), range(m1))
+    ut = u * t
+    schur = []
+    for i in range(s - m1):
+        d = qp.row(m1 + i)[m1:]
+        schur.append([x - y for x, y in zip(d, ut.row(i))] + list(d[n1:]))
+    beta = math.lcm(*(x.denominator for row in schur for x in row))
+    q1p = Matrix([[beta * x for x in row] for row in schur], cols=s - m1)
 
     # positions in the peeled matrix: leftover candidate columns become border
     new_border = list(range(n1))
@@ -243,8 +226,7 @@ def _invert_q1(q: Matrix, border: list[int],
         r0 += len(rs)
         c0 += len(cs)
     rest_trace = _invert_q1(q1p, new_border, new_blocks)
-    return PeelStep(tuple(row_perm), tuple(col_perm), tuple(chosen), len(border),
-                    m1, b1_trace, e1, e2, e3, beta, rest_trace)
+    return PeelStep(tuple(row_perm), tuple(col_perm), m1, b1_trace, t, u, beta, rest_trace)
 
 
 def _structured(a: Matrix, f: TdDecomposition) -> InverseTrace:
@@ -318,7 +300,7 @@ def structured_inverse(a: Matrix, f: TdDecomposition) -> tuple[Matrix, Structure
     """Invert a by the recursion over its block structure.
 
     f must validate against the primal graph of a.  The recursion only records
-    the trace: the split, the elimination factors and scalings of every peel.
+    the trace: every split, and the t, u and beta of every peel.
     The inverse returned is the trace's replay, which equals
     ``mat_inverse(a)`` exactly; a singular a raises SingularMatrixError.
     """

@@ -201,12 +201,26 @@ class PipelineReport:
             if st is not None:
                 lines.append(st.machine_line(tag))
         lines.append(f"m_source={self.m_source}")
-        lines.append(f"m={self.m_value}")
-        lines.append(f"scale={self.scale}")
+        lines.append(f"m={_number_text(self.m_value)}")
+        lines.append(f"scale={_number_text(self.scale)}")
         lines.append(f"ilp_nodes={self.ilp_nodes}")
         if self.scaled_objective is not None:
-            lines.append(f"scaled_objective={self.scaled_objective}")
+            lines.append(f"scaled_objective={_number_text(self.scaled_objective)}")
         return lines
+
+
+def _number_text(x: int | Fraction) -> str:
+    """``str(x)``, except that an integer past Python's int-to-str digit limit
+    (4300 digits by default) is written in hex (``0x...``) instead of raising."""
+    x = Fraction(x)
+    terms = [x.numerator] if x.denominator == 1 else [x.numerator, x.denominator]
+    out = []
+    for n in terms:
+        try:
+            out.append(str(n))
+        except ValueError:
+            out.append(hex(n))
+    return "/".join(out)
 
 
 def _determinant_scale(a_frac: Matrix) -> tuple[int, int]:

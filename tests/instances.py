@@ -39,6 +39,17 @@ def dense_continuous() -> MilpInstance:
                         b=(0,) * 7, c=(1,) * 17, lower=(0,) * 17, upper=(1,) * 17)
 
 
+def wide_certificate() -> MilpInstance:
+    """x0 + 9950 x1 = 1 with x0 integer, x1 continuous, both in [0, 1].
+
+    The certificate is 9950, under the usable cap, and its scale
+    lcm(1..9950) has more than 4300 decimal digits, past Python's
+    int-to-str limit.
+    """
+    return MilpInstance(a_int=Matrix([[1]]), a_frac=Matrix([[9950]]), b=(1,),
+                        c=(0, 1), lower=(0, 0), upper=(1, 1))
+
+
 def milp_text(inst: MilpInstance) -> str:
     """The instance as MILP v1 text, columns in instance order."""
     n = inst.z + inst.q

@@ -6,8 +6,9 @@ import pytest
 
 from tdmilp.cli import main
 from tdmilp.fileformat import ParseError, parse_instance, serialize_instance
+from tdmilp.integralize import choose_scale
 from tdmilp.linalg import Matrix
-from instances import dense_continuous, milp_text, nfold_one_integer
+from instances import dense_continuous, milp_text, nfold_one_integer, wide_certificate
 
 
 def run_cli(args, stdin="", err=None):
@@ -157,6 +158,15 @@ class TestCommands:
         code, _ = run_cli(["solve"], stdin=milp_text(dense_continuous()), err=err)
         assert code == 3
         assert err.getvalue().startswith("cap exceeded: ")
+
+    def test_solve_scale_past_digit_limit(self):
+        code, out = run_cli(["solve", "--format", "machine"],
+                            stdin=milp_text(wide_certificate()))
+        lines = out.splitlines()
+        assert code == 0
+        assert "m_source=certificate" in lines and "m=9950" in lines
+        scale = next(line for line in lines if line.startswith("scale="))
+        assert int(scale[len("scale="):], 0) == choose_scale(9950)
 
     def test_usage_error(self):
         code, _ = run_cli(["gen", "nosuch"])

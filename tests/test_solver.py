@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from tdmilp.integralize import MilpInstance, pure_ilp
+from tdmilp.integralize import MilpInstance, choose_scale, pure_ilp
 from tdmilp.linalg import Matrix
 from tdmilp.simplex import lp_solve_exact
-from tdmilp.solver import (PipelineOptions, _determinant_scale, ilp_solve, milp_oracle,
-                           milp_solve, vertex_enumerate)
+from tdmilp.solver import (PipelineOptions, PipelineReport, _determinant_scale, ilp_solve,
+                           milp_oracle, milp_solve, vertex_enumerate)
 from tdmilp.structure import CapExceededError
-from instances import dense_continuous, nfold_one_integer
+from instances import dense_continuous, nfold_one_integer, wide_certificate
 from oracles import ilp_by_box_enumeration
 from strategies import mixed_instances
 
@@ -242,3 +242,19 @@ class TestPipeline:
         _, rep1 = milp_solve(inst)
         _, rep2 = milp_solve(inst)
         assert rep1.machine_lines() == rep2.machine_lines()
+
+    def test_report_lines_past_digit_limit(self):
+        # lcm(1..9950) has more than 4300 digits; str() of it raises
+        _, report = milp_solve(wide_certificate())
+        assert report.m_source == "certificate" and report.scale == choose_scale(9950)
+        assert f"scale={hex(report.scale)}" in report.machine_lines()
+
+    @pytest.mark.parametrize("value, text", [
+        (Fraction(-7, 2), "-7/2"),
+        (Fraction(12), "12"),
+        (Fraction(-10 ** 5000 - 1, 3), f"{hex(-10 ** 5000 - 1)}/3"),
+        (Fraction(5, 10 ** 5000 + 1), f"5/{hex(10 ** 5000 + 1)}"),
+    ], ids=["small", "integral", "big_numerator", "big_denominator"])
+    def test_report_scaled_objective_text(self, value, text):
+        lines = PipelineReport(scaled_objective=value).machine_lines()
+        assert lines[-1] == f"scaled_objective={text}"
