@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 infeasible, 2 usage or parse error (a singular or
 malformed matrix included), 3 a configured cap was exceeded, 4 internal
-invariant violation.
+invariant violation (a simplex failure such as its pivot cap included).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .families import (DESCRIPTOR_FAMILIES, MATRIX_FAMILIES, FamilySpec,
                        MipDescriptor, generate, verify_family)
 from .integralize import IlpInstance
 from .linalg import LinalgError, Matrix, fractionality, mat_inverse, parse_matrix
+from .simplex import SolverError
 from .solver import PipelineOptions, choose_side, milp_oracle, milp_solve
 from .structure import (CapExceededError, StructureError,
                         decomposition_for_matrix, td_stats)
@@ -222,7 +223,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except StructureError as exc:
+    except (StructureError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

@@ -254,11 +254,15 @@ def restrict_decomposition(f: TdDecomposition, vertices: Sequence[int]) -> TdDec
 def td_compute(g: Graph, mode: str = "exact", exact_cap: int = 16) -> TdDecomposition:
     """Treedepth decomposition of a connected graph.
 
-    Exact mode finds a minimum-height decomposition by recursive root-choice
-    search memoised on vertex subsets, and refuses graphs larger than
-    exact_cap.  Heuristic mode removes a greedily chosen balanced separator,
-    recurses, and stacks the separator as a path above the recursive roots;
-    the result is always valid but may not have minimum height.
+    Exact mode finds a minimum-height decomposition by a branch and bound
+    over root choices, memoised on vertex subsets, and refuses graphs larger
+    than exact_cap.  It bounds a subset's height below by its degeneracy + 1
+    (degeneracy <= treewidth <= treedepth - 1), skips a root once a component
+    left by it cannot beat the best height so far, and among the roots of
+    minimum height keeps the lowest-index one.  Heuristic mode removes a
+    greedily chosen balanced separator, recurses, and stacks the separator as
+    a path above the recursive roots; the result is always valid but may not
+    have minimum height.
     """
     if g.vertex_count == 0:
         return TdDecomposition([])
@@ -293,6 +297,32 @@ def _mask_components(mask: int, adj: Sequence[int]) -> list[int]:
     return comps
 
 
+def _degeneracy(mask: int, adj: Sequence[int]) -> int:
+    """Largest k such that some subset of the connected mask has minimum
+    degree k.
+
+    Peels vertices of degree <= k until none is left or the rest is the
+    (k+1)-core, for k = 1, 2, ...; the same value as repeatedly removing a
+    minimum-degree vertex and keeping the largest degree met.
+    """
+    k = 1 if mask & (mask - 1) else 0  # connected: no vertex of degree 0
+    while mask.bit_count() > k + 1:  # a (k+1)-core needs k + 2 vertices
+        peeled = True
+        while peeled:
+            peeled = False
+            m = mask
+            while m:
+                vbit = m & -m
+                m ^= vbit
+                if (adj[vbit.bit_length() - 1] & mask).bit_count() <= k:
+                    mask ^= vbit
+                    peeled = True
+        if not mask:
+            return k
+        k += 1
+    return k
+
+
 def _td_exact(g: Graph) -> TdDecomposition:
     n = g.vertex_count
     adj = [0] * n
@@ -300,24 +330,48 @@ def _td_exact(g: Graph) -> TdDecomposition:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     memo: dict[int, tuple[int, int]] = {}  # mask -> (height, chosen root)
+    floor: dict[int, int] = {}  # mask -> degeneracy + 1 <= treedepth
+
+    def lower(mask: int) -> int:
+        got = memo.get(mask)
+        if got is not None:
+            return got[0]
+        if mask not in floor:
+            floor[mask] = _degeneracy(mask, adj) + 1
+        return floor[mask]
 
     def best(mask: int) -> tuple[int, int]:
+        """Minimum height of mask and the lowest-index root that reaches it.
+
+        Branch and bound: a root is skipped, and its components left unsolved,
+        once it cannot beat the best height strictly, so every entry is exact.
+        """
         got = memo.get(mask)
         if got is not None:
             return got
         if mask & (mask - 1) == 0:
             memo[mask] = (1, mask.bit_length() - 1)
             return memo[mask]
-        best_h = None
+        bound = lower(mask)
+        best_h = n + 1
         best_v = -1
         m = mask
         while m:
             vbit = m & -m
             m &= m - 1
-            v = vbit.bit_length() - 1
-            h = 1 + max(best(c)[0] for c in _mask_components(mask & ~vbit, adj))
-            if best_h is None or h < best_h:  # ties keep the lowest vertex index
-                best_h, best_v = h, v
+            comps = _mask_components(mask & ~vbit, adj)
+            # lower(c) <= |c|, so only a large enough component can rule v out
+            if any(c.bit_count() >= best_h - 1 and lower(c) >= best_h - 1 for c in comps):
+                continue
+            h = 1
+            for c in comps:
+                h = max(h, 1 + best(c)[0])
+                if h >= best_h:
+                    break
+            if h < best_h:  # ties keep the lowest vertex index
+                best_h, best_v = h, vbit.bit_length() - 1
+                if best_h == bound:
+                    break
         memo[mask] = (best_h, best_v)
         return memo[mask]
 

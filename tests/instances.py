@@ -30,13 +30,26 @@ def nfold_one_integer(free_column: bool) -> MilpInstance:
     )
 
 
-def dense_continuous() -> MilpInstance:
-    """All-continuous 7x17 instance with dense entries in +-{1, 2}: C(17, 7)
-    column bases, past the determinant scale's basis cap."""
+def _dense_continuous(rows: int, cols: int) -> MilpInstance:
+    """All-continuous rows x cols instance with dense entries in +-{1, 2}."""
     rng = random.Random(5)
-    a = Matrix([[rng.choice((-2, -1, 1, 2)) for _ in range(17)] for _ in range(7)])
-    return MilpInstance(a_int=Matrix([[] for _ in range(7)], cols=0), a_frac=a,
-                        b=(0,) * 7, c=(1,) * 17, lower=(0,) * 17, upper=(1,) * 17)
+    a = Matrix([[rng.choice((-2, -1, 1, 2)) for _ in range(cols)] for _ in range(rows)])
+    return MilpInstance(a_int=Matrix([[] for _ in range(rows)], cols=0), a_frac=a,
+                        b=(0,) * rows, c=(1,) * cols, lower=(0,) * cols, upper=(1,) * cols)
+
+
+def dense_continuous() -> MilpInstance:
+    """Dense all-continuous 7x17 block: C(17, 7) column bases, past the
+    determinant scale's basis cap; its 17-column primal graph is decomposed
+    by the heuristic."""
+    return _dense_continuous(7, 17)
+
+
+def dense_continuous_exact() -> MilpInstance:
+    """Dense all-continuous 8x16 block: C(16, 8) column bases, past the basis
+    cap, and both interaction graphs (K16 and K8) under the exact treedepth
+    cap."""
+    return _dense_continuous(8, 16)
 
 
 def wide_certificate() -> MilpInstance:

@@ -50,8 +50,8 @@ def leftmost_column_basis(m: Matrix):
     return None
 
 
-def treedepth_by_subset_dp(g) -> int:
-    """Minimum decomposition height by bottom-up DP over all vertex subsets."""
+def _subset_dp(g):
+    """Treedepth of every vertex subset, bottom-up, and a component splitter."""
     n = g.vertex_count
     assert n <= 16
     adj = [0] * n
@@ -95,7 +95,28 @@ def treedepth_by_subset_dp(g) -> int:
             if best is None or cand < best:
                 best = cand
         dp[mask] = best
-    return dp[(1 << n) - 1]
+    return dp, components
+
+
+def treedepth_by_subset_dp(g) -> int:
+    """Minimum decomposition height by bottom-up DP over all vertex subsets."""
+    dp, _ = _subset_dp(g)
+    return dp[(1 << g.vertex_count) - 1]
+
+
+def lowest_root_decomposition(g) -> tuple:
+    """Parent array of the minimum-height decomposition that roots every
+    component at its lowest-index vertex v with 1 + td(mask - v) = td(mask)."""
+    dp, components = _subset_dp(g)
+    parent = [None] * g.vertex_count
+    todo = [(c, None) for c in components((1 << g.vertex_count) - 1)]
+    while todo:
+        mask, above = todo.pop()
+        v = next(v for v in range(g.vertex_count) if mask >> v & 1
+                 and 1 + dp[mask & ~(1 << v)] == dp[mask])
+        parent[v] = above
+        todo.extend((c, v) for c in components(mask & ~(1 << v)))
+    return tuple(parent)
 
 
 def structured_invertible_matrix(rng, n: int, height: int, magnitude: int) -> Matrix:

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from tdmilp.integralize import MilpInstance
 from tdmilp.linalg import Matrix
+from tdmilp.structure import Graph
 
 
 @st.composite
@@ -33,3 +34,16 @@ def mixed_instances(draw):
                                               max_size=rows))),
                         c=tuple(draw(st.lists(coeff, min_size=n, max_size=n))),
                         lower=tuple(lower), upper=tuple(upper))
+
+
+@st.composite
+def connected_graphs(draw):
+    """Connected graphs on 2-10 vertices: a random spanning tree plus any
+    extra edges, relabelled by a random permutation."""
+    n = draw(st.integers(2, 10))
+    edges = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
+    vertex = st.integers(0, n - 1)
+    edges += [(u, v) for u, v in draw(st.lists(st.tuples(vertex, vertex),
+                                               max_size=n * (n - 1) // 2)) if u != v]
+    label = draw(st.permutations(range(n)))
+    return Graph(n, [(label[u], label[v]) for u, v in edges])

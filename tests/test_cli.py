@@ -4,11 +4,13 @@ import sys
 
 import pytest
 
+from tdmilp import simplex
 from tdmilp.cli import main
 from tdmilp.fileformat import ParseError, parse_instance, serialize_instance
 from tdmilp.integralize import choose_scale
 from tdmilp.linalg import Matrix
-from instances import dense_continuous, milp_text, nfold_one_integer, wide_certificate
+from instances import (dense_continuous, dense_continuous_exact, milp_text,
+                       nfold_one_integer, wide_certificate)
 
 
 def run_cli(args, stdin="", err=None):
@@ -153,11 +155,22 @@ class TestCommands:
         assert "status=optimal" in out.splitlines()
         assert "m_source=determinant" in out.splitlines()
 
-    def test_solve_past_basis_cap_exit_code(self):
+    @pytest.mark.parametrize("make", [dense_continuous, dense_continuous_exact],
+                             ids=["dense_7x17", "dense_8x16"])
+    def test_solve_past_basis_cap_exit_code(self, make):
         err = io.StringIO()
-        code, _ = run_cli(["solve"], stdin=milp_text(dense_continuous()), err=err)
+        code, _ = run_cli(["solve"], stdin=milp_text(make()), err=err)
         assert code == 3
         assert err.getvalue().startswith("cap exceeded: ")
+
+    def test_simplex_failure_is_invariant_exit(self, monkeypatch):
+        # with a pivot cap of 0 the root LP raises SolverError after one pivot
+        monkeypatch.setattr(simplex.lp_solve_exact, "__defaults__", (0,))
+        err = io.StringIO()
+        code, out = run_cli(["solve"], stdin=MIXED, err=err)
+        assert code == 4
+        assert out == ""
+        assert err.getvalue() == "error: pivot cap exceeded\n"
 
     def test_solve_scale_past_digit_limit(self):
         code, out = run_cli(["solve", "--format", "machine"],

@@ -11,7 +11,8 @@ from tdmilp.simplex import lp_solve_exact
 from tdmilp.solver import (PipelineOptions, PipelineReport, _determinant_scale, ilp_solve,
                            milp_oracle, milp_solve, vertex_enumerate)
 from tdmilp.structure import CapExceededError
-from instances import dense_continuous, nfold_one_integer, wide_certificate
+from instances import (dense_continuous, dense_continuous_exact, nfold_one_integer,
+                       wide_certificate)
 from oracles import ilp_by_box_enumeration
 from strategies import mixed_instances
 
@@ -154,6 +155,14 @@ class TestDeterminantScale:
         with pytest.raises(CapExceededError, match=r"C\(17,7\)") as info:
             milp_solve(dense_continuous())
         assert info.value.report.notes == ["certificate exceeded usable cap; determinant scale"]
+
+    def test_basis_cap_fails_closed_after_exact_decomposition(self):
+        # both graphs are complete and under the exact treedepth cap
+        with pytest.raises(CapExceededError, match=r"C\(16,8\)") as info:
+            milp_solve(dense_continuous_exact())
+        report = info.value.report
+        assert (report.primal_stats.height, report.dual_stats.height) == (16, 8)
+        assert report.notes == ["certificate exceeded usable cap; determinant scale"]
 
 
 class TestPipeline:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from tdmilp.linalg import Matrix
 from tdmilp.structure import (CapExceededError, Graph, StructureError,
@@ -8,7 +9,8 @@ from tdmilp.structure import (CapExceededError, Graph, StructureError,
                               decomposition_for_matrix, dual_graph, primal_graph,
                               restrict_decomposition, td_compute, td_stats,
                               validate_td)
-from oracles import treedepth_by_subset_dp
+from oracles import lowest_root_decomposition, treedepth_by_subset_dp
+from strategies import connected_graphs
 
 
 def path_graph(n):
@@ -124,6 +126,31 @@ class TestTdCompute:
         if len(connected_components(g)) != 1:
             g = path_graph(7)
         assert td_compute(g, "exact") == td_compute(g, "exact")
+
+
+class TestExactTieBreak:
+    """Graphs with many minimum-height roots: the exact search must keep the
+    lowest-index one at every level, whatever it prunes."""
+
+    @pytest.mark.parametrize("g, parent", [
+        # every root of C4 reaches height 3; the path 1-2-3 left is rooted at 2
+        (Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), (None, 2, 0, 2)),
+        # every root of C5 and of the path 1-2-3-4 left reaches the minimum
+        (Graph(5, [(i, (i + 1) % 5) for i in range(5)]), (None, 0, 3, 1, 3)),
+        # K4 minus the edge 0-1: roots 2 and 3 tie, 2 wins
+        (Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]), (3, 3, None, 2)),
+        # one border vertex 6 over three bricks of two, as in an nfold t=2 k=3
+        # graph: each brick is rooted at its lower index, not at 6's neighbour
+        (Graph(7, [(0, 1), (2, 3), (4, 5), (1, 6), (3, 6), (5, 6)]),
+         (6, 0, 6, 2, 6, 4, None)),
+    ], ids=["C4", "C5", "K4_minus_edge", "nfold_tree"])
+    def test_pinned_parent_arrays(self, g, parent):
+        assert td_compute(g, "exact").parent == parent
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=connected_graphs())
+    def test_matches_lowest_root_oracle(self, g):
+        assert td_compute(g, "exact").parent == lowest_root_decomposition(g)
 
 
 class TestValidate:
