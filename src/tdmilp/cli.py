@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 infeasible, 2 usage or parse error (a singular or
 malformed matrix included), 3 a configured cap was exceeded, 4 internal
-invariant violation (a simplex failure such as its pivot cap included).
+invariant violation (a simplex failure such as its pivot cap, a branch on a
+continuous column under a certified scale, and a recovered solution that
+fails its check included).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .fracbound import CapExceededError as CertCapError
 from .fracbound import frac_bound, structured_inverse
 from .families import (DESCRIPTOR_FAMILIES, MATRIX_FAMILIES, FamilySpec,
                        MipDescriptor, generate, verify_family)
-from .integralize import IlpInstance
+from .integralize import FeasibilityError, IlpInstance
 from .linalg import LinalgError, Matrix, fractionality, mat_inverse, parse_matrix
 from .simplex import SolverError
 from .solver import PipelineOptions, choose_side, milp_oracle, milp_solve
@@ -223,7 +225,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (StructureError, SolverError) as exc:
+    except (StructureError, SolverError, FeasibilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

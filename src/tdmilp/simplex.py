@@ -1,13 +1,19 @@
 """Exact bounded-variable simplex over rationals.
 
 Two phases with artificial variables, Bland's rule for anti-cycling, no
-tolerances anywhere.  Structural variables need finite bounds (instances here
-always carry boxes); the solver returns a basic feasible solution, so the
-basis columns are invertible and every non-basic variable sits at a bound.
+tolerances anywhere.  The tableau is integer-preserving: it holds Python ints
+over one common denominator, |det B| of the current basis, and pivots by the
+fraction-free elimination of Bareiss (every division is exact).  Rational data
+is scaled to integers first, rows by one common factor and costs by another;
+neither changes a pivot.  Only the basic values and the ratio-test steps are
+rationals.  Structural variables need finite bounds (instances here always
+carry boxes); the solver returns a basic feasible solution, so the basis
+columns are invertible and every non-basic variable sits at a bound.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -23,6 +29,7 @@ class SolverError(Exception):
 class SolveStats:
     pivots: int = 0
     nodes: int = 0
+    continuous_branches: int = 0  # branch and bound branches past the first z columns
 
 
 @dataclass
@@ -55,8 +62,21 @@ def reduce_rows(a: Matrix, b: Sequence[Fraction]) -> Optional[tuple[Matrix, tupl
     return a.submatrix(keep, range(a.cols)), tuple(Fraction(b[i]) for i in keep)
 
 
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Ints k and the least d > 0 with values[i] == k[i] / d."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 class _BoundedSimplex:
-    """Tableau simplex with variable bounds and an artificial basis."""
+    """Tableau simplex with variable bounds and an artificial basis.
+
+    The tableau holds ints over one positive common denominator: row i of
+    ``tableau`` is ``den`` times row i of B^-1 A for the current basis B, with
+    ``den`` = |det B|, so every entry is a minor of (A | I) and every pivot
+    divides exactly (Bareiss).  Only the structural columns are kept, because an
+    artificial column never enters.  The basic values ``xb`` stay rationals.
+    """
 
     def __init__(self, a: Matrix, b: Sequence[Fraction], lo: list[Fraction],
                  up: list[Fraction], stats: SolveStats, pivot_cap: int):
@@ -67,23 +87,30 @@ class _BoundedSimplex:
         self.stats = stats
         self.pivot_cap = pivot_cap
 
-        rows = [list(a.row(i)) for i in range(self.m)]
-        rhs = [Fraction(v) for v in b]
+        # one factor clears every denominator of a and b; the scaled rows hold
+        # the same x with every artificial multiplied by it, so each pivot
+        # choice and each step of x stays the same
+        w = self.n + 1
+        flat, _ = _over_common_denominator(
+            [v for i in range(self.m) for v in (*a.row(i), b[i])])
+        lo_num, lo_den = _over_common_denominator(lo)
+        self.tableau = []
+        self.xb = []
+        self.den = 1
         # start every structural variable at its lower bound; flip row signs
         # so the artificial basis starts nonnegative
         for i in range(self.m):
-            r = rhs[i] - sum(rows[i][j] * lo[j] for j in range(self.n) if rows[i][j] != 0)
+            row = flat[i * w:i * w + self.n]
+            r = flat[i * w + self.n] * lo_den - sum(v * lo_num[j] for j, v in enumerate(row)
+                                                    if v != 0)
             if r < 0:
-                rows[i] = [-x for x in rows[i]]
-                rhs[i] = -rhs[i]
-        self.tableau = [rows[i] + [Fraction(int(k == i)) for k in range(self.m)]
-                        for i in range(self.m)]
+                row = [-v for v in row]
+                r = -r
+            self.tableau.append(row)
+            self.xb.append(Fraction(r, lo_den))
         self.basis = list(range(self.n, self.n + self.m))
         self.at_upper = [False] * (self.n + self.m)
         self.is_basic = [False] * self.n + [True] * self.m
-        self.xb = [rhs[i] - sum(self.tableau[i][j] * lo[j]
-                                for j in range(self.n) if self.tableau[i][j] != 0)
-                   for i in range(self.m)]
 
     # artificials are [0, +inf); structural bounds are finite
     def _lower(self, j: int) -> Fraction:
@@ -99,20 +126,24 @@ class _BoundedSimplex:
             return self._upper(j)
         return self._lower(j)
 
-    def iterate(self, costs: list[Fraction]) -> str:
-        """Pivot to optimality; only structural columns may enter (Bland)."""
+    def iterate(self, costs: list[int]) -> str:
+        """Pivot to optimality; only structural columns may enter (Bland).
+
+        Costs are ints; a positive multiple of the costs prices alike.
+        """
         m, n = self.m, self.n
         while True:
             if self.stats.pivots > self.pivot_cap:
                 raise SolverError("pivot cap exceeded")
-            cb = [costs[self.basis[i]] for i in range(m)]
+            priced = [(costs[k], row) for k, row in zip(self.basis, self.tableau)
+                      if costs[k] != 0]
             entering = -1
             direction = 0
             for j in range(n):
                 if self.is_basic[j] or self.lo[j] == self.up[j]:
                     continue
-                rc = costs[j] - sum(cb[i] * self.tableau[i][j] for i in range(m)
-                                    if cb[i] != 0 and self.tableau[i][j] != 0)
+                # den times the reduced cost; den > 0 keeps its sign
+                rc = costs[j] * self.den - sum(cb * row[j] for cb, row in priced if row[j] != 0)
                 if not self.at_upper[j] and rc < 0:
                     entering, direction = j, 1
                     break
@@ -122,7 +153,7 @@ class _BoundedSimplex:
             if entering < 0:
                 return "optimal"
 
-            d = [self.tableau[i][entering] for i in range(m)]
+            d = [row[entering] for row in self.tableau]  # den times the column
             # candidate steps: the entering variable's own range, then each
             # basic variable hitting one of its bounds
             t_best: Optional[Fraction] = self.up[entering] - self.lo[entering]
@@ -138,10 +169,10 @@ class _BoundedSimplex:
                     uk = self._upper(k)
                     if uk is None:
                         continue
-                    ratio = (uk - self.xb[i]) / delta
+                    ratio = (uk - self.xb[i]) * self.den / delta
                     hits_upper = True
                 else:
-                    ratio = (self.xb[i] - self._lower(k)) / (-delta)
+                    ratio = (self.xb[i] - self._lower(k)) * self.den / -delta
                     hits_upper = False
                 if t_best is None or ratio < t_best or (ratio == t_best and k < cand_var):
                     t_best = ratio
@@ -152,8 +183,10 @@ class _BoundedSimplex:
                 return "unbounded"
 
             self.stats.pivots += 1
+            step = direction * t_best / self.den
             for i in range(m):
-                self.xb[i] += -direction * d[i] * t_best
+                if d[i] != 0:
+                    self.xb[i] -= d[i] * step
             if leave_row < 0:
                 self.at_upper[entering] = direction == 1
                 continue
@@ -168,12 +201,22 @@ class _BoundedSimplex:
             self.xb[leave_row] = enter_value
 
     def _pivot(self, row: int, col: int) -> None:
-        piv = self.tableau[row][col]
-        self.tableau[row] = [x / piv for x in self.tableau[row]]
-        for i in range(self.m):
-            if i != row and self.tableau[i][col] != 0:
-                f = self.tableau[i][col]
-                self.tableau[i] = [x - f * y for x, y in zip(self.tableau[i], self.tableau[row])]
+        """Fraction-free pivot: the pivot entry becomes the denominator."""
+        pivot_row = self.tableau[row]
+        p = pivot_row[col]
+        if p < 0:  # keep den positive
+            pivot_row = self.tableau[row] = [-v for v in pivot_row]
+            p = -p
+        den = self.den
+        for i, r in enumerate(self.tableau):
+            if i == row:
+                continue
+            f = r[col]
+            if f != 0:
+                self.tableau[i] = [(p * v - f * w) // den for v, w in zip(r, pivot_row)]
+            elif p != den:
+                self.tableau[i] = [p * v // den for v in r]
+        self.den = p
 
     def drive_out_artificials(self) -> None:
         """Degenerate pivots replacing zero-valued basic artificials."""
@@ -217,7 +260,7 @@ def lp_solve_exact(a: Matrix, b: Sequence, lower: Sequence, upper: Sequence,
     stats = SolveStats()
     sx = _BoundedSimplex(a, bvec, lo, up, stats, pivot_cap)
 
-    phase1 = [Fraction(0)] * n + [Fraction(1)] * sx.m
+    phase1 = [0] * n + [1] * sx.m
     if sx.iterate(phase1) != "optimal":
         raise SolverError("phase 1 cannot be unbounded")
     infeasibility = sum((sx.value_of(j) for j in range(n, n + sx.m)), Fraction(0))
@@ -225,7 +268,7 @@ def lp_solve_exact(a: Matrix, b: Sequence, lower: Sequence, upper: Sequence,
         return SolveResult(status="infeasible", stats=stats)
     sx.drive_out_artificials()
 
-    phase2 = cv + [Fraction(0)] * sx.m
+    phase2 = _over_common_denominator(cv)[0] + [0] * sx.m
     if sx.iterate(phase2) == "unbounded":
         return SolveResult(status="unbounded", stats=stats)
 

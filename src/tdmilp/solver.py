@@ -1,9 +1,10 @@
 """Exact ILP branch and bound, the MILP scaling pipeline, and oracles.
 
 The pipeline solves a mixed instance by bounding the denominators its optimal
-continuous part can need (certificate when affordable, determinant scale
-otherwise), scaling onto the integer grid, solving the resulting pure ILP
-exactly, and mapping the optimum back.  ``vertex_enumerate`` and
+continuous part can need (certificate, cut by the determinant scale, when
+affordable; determinant scale otherwise), scaling onto the integer grid,
+solving the resulting pure ILP exactly with integer-first branching, and
+mapping the optimum back.  ``vertex_enumerate`` and
 ``milp_oracle`` are brute-force oracles; the pipeline uses neither.
 """
 
@@ -20,7 +21,7 @@ from .fracbound import CapExceededError as CertCapError
 from .fracbound import frac_bound
 from .integralize import IlpInstance, MilpInstance, choose_scale, integralize, recover
 from .linalg import Matrix, SingularMatrixError, forward_eliminate, mat_det, mat_inverse
-from .simplex import SolveResult, SolveStats, lp_solve_exact, reduce_rows
+from .simplex import SolveResult, SolveStats, SolverError, lp_solve_exact, reduce_rows
 from .structure import (CapExceededError, TdDecomposition, TdStats,
                         decomposition_for_matrix, restrict_decomposition, td_stats)
 
@@ -77,11 +78,12 @@ def vertex_enumerate(a: Matrix, b: Sequence, lower: Sequence, upper: Sequence,
     return out
 
 
-def _most_fractional(x: Sequence[Fraction]) -> Optional[int]:
-    """Index whose value is farthest from integral; ties to the lowest index."""
+def _most_fractional(x: Sequence[Fraction], cols: range) -> Optional[int]:
+    """Index in cols whose value is farthest from integral; ties to the lowest."""
     best = None
     best_key = None
-    for j, v in enumerate(x):
+    for j in cols:
+        v = x[j]
         if v.denominator == 1:
             continue
         frac = v - (v.numerator // v.denominator)
@@ -92,13 +94,20 @@ def _most_fractional(x: Sequence[Fraction]) -> Optional[int]:
     return best
 
 
-def ilp_solve(inst: IlpInstance, node_cap: Optional[int] = None) -> SolveResult:
+def ilp_solve(inst: IlpInstance, node_cap: Optional[int] = None,
+              z: Optional[int] = None) -> SolveResult:
     """Exact optimum over integer points by best-bound branch and bound.
 
-    Relaxations are solved by the exact simplex; pruning compares rationals
-    exactly, and branching picks the most fractional variable.
+    Relaxations are solved by the exact simplex and pruning compares
+    rationals exactly.  Branching is integer-first: it takes the most
+    fractional of the first z columns, and only when those are all integral
+    the most fractional of the rest, counting such branches in
+    ``stats.continuous_branches``.  z=None branches on the most fractional
+    column overall.
     """
     matrix = inst.matrix
+    n = matrix.cols
+    z = n if z is None else z
     stats = SolveStats()
     counter = itertools.count()
     root = (inst.lower, inst.upper)
@@ -120,10 +129,13 @@ def ilp_solve(inst: IlpInstance, node_cap: Optional[int] = None) -> SolveResult:
             raise CapExceededError(f"branch and bound node cap {node_cap} exceeded")
         if incumbent is not None and bound >= incumbent.objective:
             continue
-        branch_var = _most_fractional(res.x)
+        branch_var = _most_fractional(res.x, range(z))
         if branch_var is None:
-            incumbent = res
-            continue
+            branch_var = _most_fractional(res.x, range(z, n))
+            if branch_var is None:
+                incumbent = res
+                continue
+            stats.continuous_branches += 1
         v = res.x[branch_var]
         floor = v.numerator // v.denominator
         down_up = up[:branch_var] + (floor,) + up[branch_var + 1:]
@@ -243,6 +255,21 @@ def _determinant_scale(a_frac: Matrix) -> tuple[int, int]:
     return math.lcm(*dets), max(dets)
 
 
+def _certificate_scale(a_frac: Matrix, m: int, report: PipelineReport) -> int:
+    """gcd(lcm(1..m), determinant scale): both are multiples of every vertex
+    denominator, so their gcd is too.  lcm(1..m) alone when the determinant
+    scale passes BASIS_CAP."""
+    scale = choose_scale(m)
+    try:
+        det_scale, _ = _determinant_scale(a_frac)
+    except CapExceededError:
+        return scale
+    cut = math.gcd(scale, det_scale)
+    if cut < scale:
+        report.notes.append("scale cut to gcd(certificate, determinant)")
+    return cut
+
+
 def choose_side(matrix: Matrix, side: str,
                 exact_td_cap: int) -> tuple[str, dict[str, TdDecomposition]]:
     """Resolve side and return it with the decompositions made on the way.
@@ -262,10 +289,17 @@ def milp_solve(inst: MilpInstance,
     """Solve a mixed instance by scaling it onto the integer grid.
 
     Stages: analyse both interaction graphs and pick the shallower side;
-    obtain a scale (lcm(1..M) for the fractionality certificate M when it is
-    at most M_CAP, else the lcm of the continuous part's basis determinants);
-    solve the scaled pure ILP by branch and bound; recover and validate the
-    mixed optimum.
+    obtain a scale (for a fractionality certificate M of at most M_CAP,
+    gcd(lcm(1..M), determinant scale), or lcm(1..M) alone when the
+    determinant scale passes BASIS_CAP; otherwise the determinant scale, the
+    lcm of the continuous part's basis determinants); solve the scaled pure
+    ILP by integer-first branch and bound; recover and validate the mixed
+    optimum.
+
+    Both scales are sound, so by Cramer's rule a node whose integer columns
+    are integral is a vertex with integral continuous columns too.  A branch
+    on a continuous column under either scale therefore raises SolverError;
+    a ``scale_override`` grid is the caller's choice and is not checked.
     """
     options = options or PipelineOptions()
     report = PipelineReport()
@@ -284,7 +318,7 @@ def milp_solve(inst: MilpInstance,
         report.m_source = "trivial"
         res = ilp_solve(IlpInstance(a_int=inst.a_int, a_frac=inst.a_frac, b=inst.b,
                                     c=inst.c, lower=inst.lower, upper=inst.upper),
-                        node_cap=options.node_cap)
+                        node_cap=options.node_cap, z=inst.z)
         report.ilp_nodes = res.stats.nodes
         report.scaled_objective = res.objective
         return res, report
@@ -305,7 +339,7 @@ def milp_solve(inst: MilpInstance,
             if cert.bound <= M_CAP:
                 report.m_source = "certificate"
                 report.m_value = cert.bound
-                scale = choose_scale(cert.bound)
+                scale = _certificate_scale(inst.a_frac, cert.bound, report)
             else:
                 report.notes.append("certificate exceeded usable cap; determinant scale")
         except CertCapError as exc:
@@ -322,11 +356,14 @@ def milp_solve(inst: MilpInstance,
 
     scaled = integralize(inst, scale)
     try:
-        ilp_res = ilp_solve(scaled, node_cap=options.node_cap)
+        ilp_res = ilp_solve(scaled, node_cap=options.node_cap, z=inst.z)
     except CapExceededError as exc:
         exc.report = report
         raise
     report.ilp_nodes = ilp_res.stats.nodes
+    if ilp_res.stats.continuous_branches and report.m_source in ("certificate", "determinant"):
+        raise SolverError(f"branched on a continuous column under m_source={report.m_source} "
+                          f"m={_number_text(report.m_value)} scale={_number_text(scale)}")
     if ilp_res.status != "optimal":
         return SolveResult(status=ilp_res.status, stats=ilp_res.stats), report
 

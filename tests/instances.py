@@ -55,9 +55,9 @@ def dense_continuous_exact() -> MilpInstance:
 def wide_certificate() -> MilpInstance:
     """x0 + 9950 x1 = 1 with x0 integer, x1 continuous, both in [0, 1].
 
-    The certificate is 9950, under the usable cap, and its scale
-    lcm(1..9950) has more than 4300 decimal digits, past Python's
-    int-to-str limit.
+    The certificate is 9950, under the usable cap, and lcm(1..9950) has
+    more than 4300 decimal digits, past Python's int-to-str limit; the
+    determinant scale 9950 cuts the scale used to 9950.
     """
     return MilpInstance(a_int=Matrix([[1]]), a_frac=Matrix([[9950]]), b=(1,),
                         c=(0, 1), lower=(0, 0), upper=(1, 1))

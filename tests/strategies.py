@@ -1,5 +1,7 @@
 """Hypothesis strategies shared by the property tests."""
 
+from fractions import Fraction
+
 from hypothesis import strategies as st
 
 from tdmilp.integralize import MilpInstance
@@ -15,6 +17,21 @@ def int_matrices(draw, square=False):
     entries = draw(st.lists(st.integers(-2, 2), min_size=rows * cols,
                             max_size=rows * cols))
     return Matrix([entries[i * cols:(i + 1) * cols] for i in range(rows)], cols=cols)
+
+
+@st.composite
+def rational_lps(draw):
+    """LPs (a, b, lower, upper, c) with up to 3 rows and 4 columns; entries
+    of a, b and c are p/q with |p| <= 3 and q <= 4, boxes are integral and at
+    most 3 wide."""
+    rows = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    frac = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    a = Matrix([draw(st.lists(frac, min_size=n, max_size=n)) for _ in range(rows)])
+    lower = draw(st.lists(st.integers(-2, 0), min_size=n, max_size=n))
+    upper = [lo + draw(st.integers(0, 3)) for lo in lower]
+    return (a, draw(st.lists(frac, min_size=rows, max_size=rows)), lower, upper,
+            draw(st.lists(frac, min_size=n, max_size=n)))
 
 
 @st.composite

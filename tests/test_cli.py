@@ -7,7 +7,7 @@ import pytest
 from tdmilp import simplex
 from tdmilp.cli import main
 from tdmilp.fileformat import ParseError, parse_instance, serialize_instance
-from tdmilp.integralize import choose_scale
+from tdmilp.integralize import FeasibilityError
 from tdmilp.linalg import Matrix
 from instances import (dense_continuous, dense_continuous_exact, milp_text,
                        nfold_one_integer, wide_certificate)
@@ -173,13 +173,34 @@ class TestCommands:
         assert err.getvalue() == "error: pivot cap exceeded\n"
 
     def test_solve_scale_past_digit_limit(self):
+        # lcm(1..9950) is past the digit limit; its gcd with the determinant
+        # scale, 9950, is the scale used
         code, out = run_cli(["solve", "--format", "machine"],
                             stdin=milp_text(wide_certificate()))
         lines = out.splitlines()
         assert code == 0
-        assert "m_source=certificate" in lines and "m=9950" in lines
-        scale = next(line for line in lines if line.startswith("scale="))
-        assert int(scale[len("scale="):], 0) == choose_scale(9950)
+        assert {"m_source=certificate", "m=9950", "scale=9950"} <= set(lines)
+
+    def test_scale_witness_is_invariant_exit(self, monkeypatch):
+        # a scale of 1 cannot hold x0 = 1/2, so the solve branches on x0
+        monkeypatch.setattr("tdmilp.solver.choose_scale", lambda m: 1)
+        err = io.StringIO()
+        code, out = run_cli(["solve"], stdin=TINY, err=err)
+        assert code == 4
+        assert out == ""
+        assert err.getvalue() == ("error: branched on a continuous column under "
+                                  "m_source=certificate m=2 scale=1\n")
+
+    def test_failed_recovery_is_invariant_exit(self, monkeypatch):
+        def failing(z_opt, scale, inst):
+            raise FeasibilityError("constraint row 0 violated: 2 != 1", row=0)
+
+        monkeypatch.setattr("tdmilp.solver.recover", failing)
+        err = io.StringIO()
+        code, out = run_cli(["solve"], stdin=TINY, err=err)
+        assert code == 4
+        assert out == ""
+        assert err.getvalue() == "error: constraint row 0 violated: 2 != 1\n"
 
     def test_usage_error(self):
         code, _ = run_cli(["gen", "nosuch"])

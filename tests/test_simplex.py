@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,7 +10,7 @@ from tdmilp.linalg import Matrix, mat_det
 from tdmilp.simplex import lp_solve_exact, reduce_rows
 from tdmilp.solver import vertex_enumerate
 from oracles import rank_by_minors
-from strategies import int_matrices
+from strategies import int_matrices, rational_lps
 
 
 def bidiagonal(n):
@@ -55,6 +57,53 @@ class TestLpBasics:
         assert res.status == "optimal"
         assert res.x[0] == Fraction(1, 2 ** n)
         assert max(v.denominator for v in res.x) == 2 ** n
+
+
+F = Fraction
+
+# pinned (x, basis, pivots): the tableau arithmetic must not move a pivot path
+PINNED = {
+    "bidiagonal_6": (
+        (bidiagonal(6), [0] * 5 + [1], [0] * 6, [1] * 6, [1] * 6),
+        ((F(1, 64), F(1, 32), F(1, 16), F(1, 8), F(1, 4), F(1, 2)), (0, 1, 2, 3, 4, 5), 6)),
+    "degenerate": (  # b = 0 and a dependent third row
+        (Matrix([[1, -1, 0, 1], [1, 0, -1, 1], [0, 1, -1, 0]]), [0, 0, 0], [0] * 4, [2] * 4,
+         [-1, 1, 1, -2]),
+        ((F(0), F(0), F(0), F(0)), (1, 3), 3)),
+    "infeasible": (
+        (Matrix([[1, 1, 0], [0, 1, 1]]), [3, -1], [0, 0, 0], [1, 1, 1], [1, 1, 1]),
+        (None, None, 1)),
+    "rational": (
+        (Matrix([[F(1, 2), F(1, 3), 1, 0], [F(2, 3), -1, F(1, 4), 1]]), [1, F(1, 2)],
+         [0, -1, 0, 0], [2, 2, F(3, 2), 3], [1, -1, F(1, 2), F(-2, 3)]),
+        ((F(0), F(2), F(1, 3), F(29, 12)), (2, 3), 4)),
+    "bound_flips": (
+        (Matrix([[1, 2, -1, 3], [2, -1, 1, 1]]), [4, 3], [-2] * 4, [3] * 4, [-1, -2, 3, -1]),
+        ((F(3), F(2, 5), F(-2), F(-3, 5)), (1, 3), 5)),
+}
+
+
+class TestPivotPaths:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned(self, name):
+        args, expected = PINNED[name]
+        res = lp_solve_exact(*args)
+        assert (res.x, res.basis, res.stats.pivots) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(lp=rational_lps())
+    def test_rational_data_pivots_as_its_integral_multiple(self, lp):
+        a, b, lower, upper, c = lp
+        res = lp_solve_exact(a, b, lower, upper, c)
+        scale = math.lcm(*(v.denominator for v in a.entries()), *(v.denominator for v in b))
+        whole = lp_solve_exact(scale * a, [scale * v for v in b], lower, upper, c)
+        assert (res.status, res.x, res.basis, res.stats.pivots) == \
+            (whole.status, whole.x, whole.basis, whole.stats.pivots)
+        verts = vertex_enumerate(a, b, lower, upper)
+        if res.status != "optimal":
+            assert not verts
+            return
+        assert res.objective == min(sum(cj * vj for cj, vj in zip(c, v)) for v in verts)
 
 
 class TestVertexProperty:

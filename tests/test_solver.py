@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from tdmilp.integralize import MilpInstance, choose_scale, pure_ilp
 from tdmilp.linalg import Matrix
-from tdmilp.simplex import lp_solve_exact
+from tdmilp.simplex import SolverError, lp_solve_exact
 from tdmilp.solver import (PipelineOptions, PipelineReport, _determinant_scale, ilp_solve,
                            milp_oracle, milp_solve, vertex_enumerate)
 from tdmilp.structure import CapExceededError
@@ -165,6 +165,47 @@ class TestDeterminantScale:
         assert report.notes == ["certificate exceeded usable cap; determinant scale"]
 
 
+class TestScaleWitness:
+    @settings(max_examples=250, deadline=None)
+    @given(inst=mixed_instances())
+    def test_sound_scale_never_branches_on_a_continuous_column(self, inst):
+        assert milp_solve(inst)[0].stats.continuous_branches == 0
+
+    def test_unsound_scale_fails_the_witness(self, monkeypatch):
+        # 2 y = 1 needs y = 1/2; a scale of 1 leaves the scaled y fractional
+        # at the root, so branch and bound must branch on it
+        monkeypatch.setattr("tdmilp.solver.choose_scale", lambda m: 1)
+        inst = MilpInstance(a_int=Matrix([[]], cols=0), a_frac=Matrix([[2]]),
+                            b=(1,), c=(1,), lower=(0,), upper=(1,))
+        with pytest.raises(SolverError, match=r"m_source=certificate m=2 scale=1$"):
+            milp_solve(inst)
+
+    def test_override_may_branch_on_a_continuous_column(self):
+        inst = MilpInstance(a_int=Matrix([[]], cols=0), a_frac=Matrix([[2]]),
+                            b=(1,), c=(1,), lower=(0,), upper=(1,))
+        res, report = milp_solve(inst, PipelineOptions(scale_override=1))
+        assert res.status == "infeasible" and report.m_source == "override"
+        assert res.stats.continuous_branches == 1
+
+    @pytest.mark.parametrize("z, branched, continuous", [(1, 0, 0), (None, 1, 0), (0, 1, 1)])
+    def test_integer_first_order(self, monkeypatch, z, branched, continuous):
+        # the root LP is x = (1/4, 1/2): column 1 is the more fractional, but
+        # with z=1 column 0 is integer and goes first
+        bounds = []
+
+        def recording(a, b, lower, upper, c):
+            bounds.append((lower, upper))
+            return lp_solve_exact(a, b, lower, upper, c)
+
+        monkeypatch.setattr("tdmilp.solver.lp_solve_exact", recording)
+        res = ilp_solve(pure_ilp(Matrix([[4, 0], [0, 2]]), (1, 1), (0, 0), (0, 0), (1, 1)), z=z)
+        assert res.status == "infeasible"
+        assert res.stats.continuous_branches == continuous
+        other = 1 - branched
+        assert [(lo[other], up[other]) for lo, up in bounds] == [(0, 1)] * 3
+        assert [(lo[branched], up[branched]) for lo, up in bounds] == [(0, 1), (0, 0), (1, 1)]
+
+
 class TestPipeline:
     def test_pure_ilp_matches_ilp_solve(self):
         inst = pure_ilp(Matrix([[1, 1]]), (3,), (1, 1), (0, 0), (2, 2))
@@ -253,10 +294,15 @@ class TestPipeline:
         assert rep1.machine_lines() == rep2.machine_lines()
 
     def test_report_lines_past_digit_limit(self):
-        # lcm(1..9950) has more than 4300 digits; str() of it raises
+        # the certificate 9950 would scale by lcm(1..9950), which has more
+        # than 4300 digits; the determinant scale 9950 cuts it to their gcd
         _, report = milp_solve(wide_certificate())
-        assert report.m_source == "certificate" and report.scale == choose_scale(9950)
-        assert f"scale={hex(report.scale)}" in report.machine_lines()
+        assert (report.m_source, report.m_value, report.scale) == ("certificate", 9950, 9950)
+        assert report.notes == ["scale cut to gcd(certificate, determinant)"]
+        assert {"m_source=certificate", "m=9950", "scale=9950"} <= set(report.machine_lines())
+        # str() of lcm(1..9950) raises, so the report writes it in hex
+        wide = PipelineReport(m_value=9950, scale=choose_scale(9950))
+        assert f"scale={hex(choose_scale(9950))}" in wide.machine_lines()
 
     @pytest.mark.parametrize("value, text", [
         (Fraction(-7, 2), "-7/2"),
