@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import Matrix
-from .structure import (Graph, StructureError, TdDecomposition, primal_graph,
+from .structure import (StructureError, TdDecomposition, primal_graph,
                         restrict_decomposition, td_stats, validate_td)
 
 
@@ -72,8 +72,31 @@ def top_path(f: TdDecomposition) -> list[int]:
     return path
 
 
-def primal_decompose(a: Matrix, f: TdDecomposition,
-                     graph: Graph | None = None) -> BlockStructure:
+def split_forest(a: Matrix, f: TdDecomposition
+                 ) -> list[tuple[list[int], list[int], Matrix, TdDecomposition]]:
+    """One part per tree of f over the columns of a, roots in ascending order.
+
+    A part is the rows with a nonzero in the tree's columns, those columns,
+    the submatrix on them and the tree relabelled onto them.  Zero rows
+    belong to no part; a row touching two trees raises StructureError.
+    """
+    cols_of = [f.subtree(r) for r in f.roots]
+    owner = [0] * a.cols
+    for t, cols in enumerate(cols_of):
+        for j in cols:
+            owner[j] = t
+    rows_of: list[list[int]] = [[] for _ in cols_of]
+    for i in range(a.rows):
+        trees = {owner[j] for j, x in enumerate(a.row(i)) if x}
+        if len(trees) > 1:
+            raise StructureError("row spans decomposition trees")
+        if trees:
+            rows_of[trees.pop()].append(i)
+    return [(rows, cols, a.submatrix(rows, cols), restrict_decomposition(f, cols))
+            for rows, cols in zip(rows_of, cols_of)]
+
+
+def primal_decompose(a: Matrix, f: TdDecomposition) -> BlockStructure:
     """Split a into border columns and diagonal blocks along f's top path.
 
     f must be a single tree over the columns of a that validates against the
@@ -82,9 +105,7 @@ def primal_decompose(a: Matrix, f: TdDecomposition,
     """
     if a.cols == 0:
         raise StructureError("cannot decompose a matrix with no columns")
-    if graph is None:
-        graph = primal_graph(a)
-    if not validate_td(graph, f):
+    if not validate_td(primal_graph(a), f):
         raise StructureError("decomposition does not validate against the primal graph")
     path = top_path(f)
     k1 = len(path)
@@ -167,13 +188,9 @@ def structure_trace(a: Matrix, f: TdDecomposition, indent: str = "") -> str:
 
 def _trace_forest(a: Matrix, f: TdDecomposition, indent: str, lines: list[str]) -> None:
     if len(f.roots) > 1:
-        for t, root in enumerate(f.roots):
-            cols = f.subtree(root)
-            rows = [i for i in range(a.rows)
-                    if any(a[i, j] != 0 for j in cols)]
-            lines.append(f"{indent}component {t}: cols={list(cols)}")
-            _trace_tree(a.submatrix(rows, cols), restrict_decomposition(f, cols),
-                        indent + "  ", lines)
+        for t, (_, cols, sub, f_sub) in enumerate(split_forest(a, f)):
+            lines.append(f"{indent}component {t}: cols={cols}")
+            _trace_tree(sub, f_sub, indent + "  ", lines)
         return
     _trace_tree(a, f, indent, lines)
 

@@ -52,12 +52,11 @@ def _options(args) -> PipelineOptions:
 def _cmd_analyze(args) -> int:
     parsed = parse_instance(_read_input(args.path))
     matrix = parsed.instance.matrix
-    f_primal = decomposition_for_matrix(matrix, "primal", "auto", args.exact_td_cap)
-    f_dual = decomposition_for_matrix(matrix, "dual", "auto", args.exact_td_cap)
-    print(td_stats(f_primal).machine_line("primal"))
-    print(td_stats(f_dual).machine_line("dual"))
+    _, fs = choose_side(matrix, "auto", args.exact_td_cap)
+    print(td_stats(fs["primal"]).machine_line("primal"))
+    print(td_stats(fs["dual"]).machine_line("dual"))
     print("block_structure:")
-    print(structure_trace(matrix, f_primal))
+    print(structure_trace(matrix, fs["primal"]))
     return EXIT_OK
 
 

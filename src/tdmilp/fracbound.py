@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from .blocks import graft_path_above, primal_decompose
+from .blocks import graft_path_above, primal_decompose, split_forest
 from .linalg import (Matrix, SingularMatrixError, block_diagonal, forward_eliminate,
                      mat_inverse)
 from .structure import CapExceededError as _BaseCapError
@@ -238,28 +238,16 @@ def _structured(a: Matrix, f: TdDecomposition) -> InverseTrace:
     if len(f.roots) > 1:
         # forest: columns of different trees never share a row, so the matrix
         # is block diagonal up to permutation
-        col_groups = [f.subtree(r) for r in f.roots]
-        owner = {}
-        for gi, cols in enumerate(col_groups):
-            for c in cols:
-                owner[c] = gi
-        row_groups: list[list[int]] = [[] for _ in col_groups]
-        for i in range(a.rows):
-            support = [j for j in range(a.cols) if a[i, j] != 0]
-            if not support:
-                raise SingularMatrixError("zero row")
-            owners = {owner[j] for j in support}
-            if len(owners) != 1:
-                raise StructureError("row spans decomposition trees")
-            row_groups[owners.pop()].append(i)
+        split = split_forest(a, f)
+        if sum(len(rows) for rows, _, _, _ in split) != a.rows:
+            raise SingularMatrixError("zero row")
         parts = []
-        for cols, rows in zip(col_groups, row_groups):
+        for rows, cols, sub, f_sub in split:
             if len(cols) != len(rows):
                 raise SingularMatrixError("non-square component block")
-            sub = a.submatrix(rows, cols)
-            parts.append(_structured(sub, restrict_decomposition(f, cols)))
-        row_perm = tuple(i for rg in row_groups for i in rg)
-        col_perm = tuple(j for cg in col_groups for j in cg)
+            parts.append(_structured(sub, f_sub))
+        row_perm = tuple(i for rows, _, _, _ in split for i in rows)
+        col_perm = tuple(j for _, cols, _, _ in split for j in cols)
         return ForestTrace(row_perm, col_perm, tuple(parts))
 
     if td_stats(f).topological_height <= 1:
@@ -439,9 +427,6 @@ class FractionalityCertificate:
     trace: tuple[CertNode, ...]
     formula: Optional[str] = None
 
-    def describe(self) -> str:
-        return str(self.bound)
-
 
 @dataclass
 class _Skeleton:
@@ -539,14 +524,8 @@ def frac_bound(a: Matrix, f: TdDecomposition, side: str = "primal",
 
     nodes: list[CertNode] = []
     bounds = []
-    for root in f.roots:
-        cols = f.subtree(root)
-        rows = [i for i in range(a.rows) if any(a[i, j] != 0 for j in cols)]
-        sub = a.submatrix(rows, cols)
-        if sub.cols == 0:
-            continue
-        skel = _build_skeleton(sub, restrict_decomposition(f, cols))
-        bounds.append(_cert(skel, alpha, 0, ar, nodes))
+    for _, _, sub, f_sub in split_forest(a, f):
+        bounds.append(_cert(_build_skeleton(sub, f_sub), alpha, 0, ar, nodes))
     result = ar.maximum(bounds) if bounds else ar.of(1)
 
     trace = tuple(nodes)

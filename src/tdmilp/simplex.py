@@ -42,10 +42,6 @@ class SolveResult:
     basis: Optional[tuple[int, ...]] = None
     stats: SolveStats = field(default_factory=SolveStats)
 
-    @property
-    def is_optimal(self) -> bool:
-        return self.status == "optimal"
-
 
 def reduce_rows(a: Matrix, b: Sequence[Fraction]) -> Optional[tuple[Matrix, tuple[Fraction, ...]]]:
     """Drop linearly dependent rows; None when a dependent row is inconsistent.

@@ -94,8 +94,7 @@ def _most_fractional(x: Sequence[Fraction], cols: range) -> Optional[int]:
     return best
 
 
-def ilp_solve(inst: IlpInstance, node_cap: Optional[int] = None,
-              z: Optional[int] = None) -> SolveResult:
+def ilp_solve(inst: IlpInstance, z: Optional[int] = None) -> SolveResult:
     """Exact optimum over integer points by best-bound branch and bound.
 
     Relaxations are solved by the exact simplex and pruning compares
@@ -125,8 +124,6 @@ def ilp_solve(inst: IlpInstance, node_cap: Optional[int] = None,
     while heap:
         bound, _, res, lo, up = heapq.heappop(heap)
         stats.nodes += 1
-        if node_cap is not None and stats.nodes > node_cap:
-            raise CapExceededError(f"branch and bound node cap {node_cap} exceeded")
         if incumbent is not None and bound >= incumbent.objective:
             continue
         branch_var = _most_fractional(res.x, range(z))
@@ -190,7 +187,6 @@ class PipelineOptions:
     scale_override: Optional[int] = None
     exact_td_cap: int = 16
     bit_cap: int = 10 ** 6
-    node_cap: Optional[int] = None
 
 
 @dataclass
@@ -272,13 +268,15 @@ def _certificate_scale(a_frac: Matrix, m: int, report: PipelineReport) -> int:
 
 def choose_side(matrix: Matrix, side: str,
                 exact_td_cap: int) -> tuple[str, dict[str, TdDecomposition]]:
-    """Resolve side and return it with the decompositions made on the way.
+    """Resolve side and return it with the decompositions of both sides.
 
-    "auto" decomposes both interaction graphs and takes the side of lower
-    treedepth height, primal on ties; an explicit side is decomposed alone.
+    "auto" takes the side of lower treedepth height, primal on ties; an
+    unknown side raises ValueError.
     """
-    sides = ("primal", "dual") if side == "auto" else (side,)
-    fs = {s: decomposition_for_matrix(matrix, s, "auto", exact_td_cap) for s in sides}
+    if side not in ("primal", "dual", "auto"):
+        raise ValueError(f"unknown side {side!r}")
+    fs = {s: decomposition_for_matrix(matrix, s, "auto", exact_td_cap)
+          for s in ("primal", "dual")}
     if side == "auto":
         side = "primal" if td_stats(fs["primal"]).height <= td_stats(fs["dual"]).height else "dual"
     return side, fs
@@ -306,9 +304,6 @@ def milp_solve(inst: MilpInstance,
     full = inst.matrix
 
     side, fs = choose_side(full, options.side, options.exact_td_cap)
-    for s in ("primal", "dual"):  # the report shows both sides
-        if s not in fs:
-            fs[s] = decomposition_for_matrix(full, s, "auto", options.exact_td_cap)
     f_primal, f_dual = fs["primal"], fs["dual"]
     report.primal_stats = td_stats(f_primal)
     report.dual_stats = td_stats(f_dual)
@@ -318,7 +313,7 @@ def milp_solve(inst: MilpInstance,
         report.m_source = "trivial"
         res = ilp_solve(IlpInstance(a_int=inst.a_int, a_frac=inst.a_frac, b=inst.b,
                                     c=inst.c, lower=inst.lower, upper=inst.upper),
-                        node_cap=options.node_cap, z=inst.z)
+                        z=inst.z)
         report.ilp_nodes = res.stats.nodes
         report.scaled_objective = res.objective
         return res, report
@@ -355,11 +350,7 @@ def milp_solve(inst: MilpInstance,
     report.scale = scale
 
     scaled = integralize(inst, scale)
-    try:
-        ilp_res = ilp_solve(scaled, node_cap=options.node_cap, z=inst.z)
-    except CapExceededError as exc:
-        exc.report = report
-        raise
+    ilp_res = ilp_solve(scaled, z=inst.z)
     report.ilp_nodes = ilp_res.stats.nodes
     if ilp_res.stats.continuous_branches and report.m_source in ("certificate", "determinant"):
         raise SolverError(f"branched on a continuous column under m_source={report.m_source} "

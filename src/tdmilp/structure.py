@@ -4,6 +4,10 @@ The primal graph of a matrix has one vertex per column, with an edge whenever
 two columns share a row with nonzero entries in both; the dual graph is the
 primal graph of the transpose.  A decomposition is a rooted forest over the
 vertices; it is valid when every graph edge joins an ancestor-descendant pair.
+
+Components and decompositions are computed on adjacency bitmasks (bit v of
+``adj[u]`` is set when u and v are adjacent) over the whole graph, built
+straight from the matrix supports; ``Graph`` is the validated public form.
 """
 
 from __future__ import annotations
@@ -67,41 +71,57 @@ class Graph:
         return "\n".join(f"{u} {v}" for u, v in sorted(self.edges))
 
 
+def _matrix_adjacency(a: Matrix, side: str) -> list[int]:
+    """Adjacency bitmasks of the primal (one vertex per column) or dual (one
+    vertex per row) graph of a: the support of each row, or of each column,
+    is a clique."""
+    rows = [a.row(i) for i in range(a.rows)]
+    if side == "primal":
+        n, lines = a.cols, rows
+    elif side == "dual":
+        n, lines = a.rows, zip(*rows)
+    else:
+        raise ValueError(f"unknown side {side!r}")
+    adj = [0] * n
+    for line in lines:
+        clique = sum(1 << v for v, x in enumerate(line) if x)
+        for v in _bits(clique):
+            adj[v] |= clique ^ (1 << v)
+    return adj
+
+
+def _graph_adjacency(g: Graph) -> list[int]:
+    return [sum(1 << v for v in nbrs) for nbrs in g.adj]
+
+
+def _bits(mask: int) -> list[int]:
+    """The vertices set in mask, ascending."""
+    out = []
+    while mask:
+        vbit = mask & -mask
+        mask ^= vbit
+        out.append(vbit.bit_length() - 1)
+    return out
+
+
+def _graph_of(adj: Sequence[int]) -> Graph:
+    return Graph(len(adj), [(u, v) for u, m in enumerate(adj) for v in _bits(m) if u < v])
+
+
 def primal_graph(a: Matrix) -> Graph:
     """One vertex per column; columns sharing a nonzero row are adjacent."""
-    edges = set()
-    for i in range(a.rows):
-        support = [j for j in range(a.cols) if a[i, j] != 0]
-        for x in range(len(support)):
-            for y in range(x + 1, len(support)):
-                edges.add((support[x], support[y]))
-    return Graph(a.cols, edges)
+    return _graph_of(_matrix_adjacency(a, "primal"))
 
 
 def dual_graph(a: Matrix) -> Graph:
     """Primal graph of the transpose: one vertex per row."""
-    return primal_graph(a.transpose())
+    return _graph_of(_matrix_adjacency(a, "dual"))
 
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex lists of the connected components, lowest-index first."""
-    seen = [False] * g.vertex_count
-    comps = []
-    for s in range(g.vertex_count):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in g.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(sorted(comp))
-    return comps
+    full = (1 << g.vertex_count) - 1
+    return [_bits(c) for c in _mask_components(full, _graph_adjacency(g))]
 
 
 class TdDecomposition:
@@ -254,6 +274,7 @@ def restrict_decomposition(f: TdDecomposition, vertices: Sequence[int]) -> TdDec
 def td_compute(g: Graph, mode: str = "exact", exact_cap: int = 16) -> TdDecomposition:
     """Treedepth decomposition of a connected graph.
 
+    Runs on adjacency bitmasks, the search of ``decomposition_for_matrix``.
     Exact mode finds a minimum-height decomposition by a branch and bound
     over root choices, memoised on vertex subsets, and refuses graphs larger
     than exact_cap.  It bounds a subset's height below by its degeneracy + 1
@@ -266,16 +287,27 @@ def td_compute(g: Graph, mode: str = "exact", exact_cap: int = 16) -> TdDecompos
     """
     if g.vertex_count == 0:
         return TdDecomposition([])
-    if len(connected_components(g)) != 1:
+    adj = _graph_adjacency(g)
+    full = (1 << g.vertex_count) - 1
+    if _mask_components(full, adj) != [full]:
         raise StructureError("graph is not connected; decompose components first")
+    parent: list[Optional[int]] = [None] * g.vertex_count
+    _decompose(full, adj, mode, exact_cap, parent)
+    return TdDecomposition(parent)
+
+
+def _decompose(comp: int, adj: Sequence[int], mode: str, exact_cap: int,
+               parent: list[Optional[int]]) -> None:
+    """Write a decomposition of the connected vertex set comp into parent."""
     if mode == "exact":
-        if g.vertex_count > exact_cap:
-            raise CapExceededError(
-                f"exact treedepth limited to {exact_cap} vertices, got {g.vertex_count}")
-        return _td_exact(g)
-    if mode == "heuristic":
-        return _td_heuristic(g)
-    raise ValueError(f"unknown mode {mode!r}")
+        size = comp.bit_count()
+        if size > exact_cap:
+            raise CapExceededError(f"exact treedepth limited to {exact_cap} vertices, got {size}")
+        _td_exact(comp, adj, parent)
+    elif mode == "heuristic":
+        _td_heuristic(comp, adj, parent, None)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 def _mask_components(mask: int, adj: Sequence[int]) -> list[int]:
@@ -323,12 +355,8 @@ def _degeneracy(mask: int, adj: Sequence[int]) -> int:
     return k
 
 
-def _td_exact(g: Graph) -> TdDecomposition:
-    n = g.vertex_count
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+def _td_exact(full: int, adj: Sequence[int], parent: list[Optional[int]]) -> None:
+    n = full.bit_count()
     memo: dict[int, tuple[int, int]] = {}  # mask -> (height, chosen root)
     floor: dict[int, int] = {}  # mask -> degeneracy + 1 <= treedepth
 
@@ -375,101 +403,64 @@ def _td_exact(g: Graph) -> TdDecomposition:
         memo[mask] = (best_h, best_v)
         return memo[mask]
 
-    parent: list[Optional[int]] = [None] * n
-
     def build(mask: int, above: Optional[int]) -> None:
         _, v = best(mask)
         parent[v] = above
-        rest = mask & ~(1 << v)
-        for comp in _mask_components(rest, adj):
+        for comp in _mask_components(mask & ~(1 << v), adj):
             build(comp, v)
 
-    full = (1 << n) - 1
     best(full)
     build(full, None)
-    return TdDecomposition(parent)
 
 
-def _td_heuristic(g: Graph) -> TdDecomposition:
-    parent: list[Optional[int]] = [None] * g.vertex_count
+def _td_heuristic(mask: int, adj: Sequence[int], parent: list[Optional[int]],
+                  above: Optional[int]) -> None:
+    """Decompose the connected mask below above.
 
-    def solve(vertices: list[int], above: Optional[int]) -> None:
-        if len(vertices) == 1:
-            parent[vertices[0]] = above
-            return
-        live = set(vertices)
-        sub = g.induced(vertices)
-        local = {v: i for i, v in enumerate(vertices)}
-        # peel separator vertices, preferring the removal that best balances
-        # the remaining components, breaking ties by minimum degree then index
-        sep: list[int] = []
-        while len(live) > 1:
-            comps = _components_of(sub, [local[v] for v in live])
-            if len(comps) > 1:
-                break
-            best_v = None
-            best_key = None
-            for v in sorted(live):
-                rest = [local[u] for u in live if u != v]
-                largest = max((len(c) for c in _components_of(sub, rest)), default=0)
-                degree = sum(1 for u in sub.adj[local[v]] if vertices[u] in live)
-                key = (largest, degree, v)
-                if best_key is None or key < best_key:
-                    best_key, best_v = key, v
-            sep.append(best_v)
-            live.remove(best_v)
-        # stack the separator as a path above the recursive roots
-        top = above
-        for v in sep:
-            parent[v] = top
-            top = v
-        for comp in _components_of(sub, [local[v] for v in sorted(live)]):
-            solve([vertices[i] for i in comp], top)
-
-    for comp in connected_components(g):
-        solve(comp, None)
-    return TdDecomposition(parent)
-
-
-def _components_of(g: Graph, vertices: list[int]) -> list[list[int]]:
-    """Connected components of an induced vertex subset of g, sorted."""
-    alive = set(vertices)
-    seen: set[int] = set()
-    comps = []
-    for s in sorted(alive):
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in g.adj[u]:
-                if v in alive and v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(sorted(comp))
-    return comps
+    Peels separator vertices while mask stays connected, each time the one
+    whose removal leaves the smallest largest component, breaking ties by
+    least degree in mask and then lowest index; stacks them as a path and
+    recurses on the components left.
+    """
+    if mask & (mask - 1) == 0:
+        parent[mask.bit_length() - 1] = above
+        return
+    comps = [mask]
+    while len(comps) == 1 and mask & (mask - 1):
+        best_key = None
+        m = mask
+        while m:
+            vbit = m & -m
+            m ^= vbit
+            rest = _mask_components(mask ^ vbit, adj)
+            v = vbit.bit_length() - 1
+            key = (max(c.bit_count() for c in rest), (adj[v] & mask).bit_count(), v)
+            if best_key is None or key < best_key:
+                best_key, comps = key, rest
+        v = best_key[2]
+        parent[v] = above
+        above = v
+        mask ^= 1 << v
+    for comp in comps:
+        _td_heuristic(comp, adj, parent, above)
 
 
 def decomposition_for_matrix(a: Matrix, side: str = "primal", mode: str = "auto",
                              exact_cap: int = 16) -> TdDecomposition:
     """Decomposition of a matrix graph, handling disconnected graphs.
 
-    mode "auto" uses exact search per component when it fits under exact_cap
-    and the heuristic otherwise.
+    Builds the adjacency bitmasks of the primal or dual graph straight from
+    the row or column supports, splits them into components, and searches
+    each component in place on those masks, writing one parent array.  mode
+    "auto" uses exact search per component when it fits under exact_cap and
+    the heuristic otherwise.  An unknown side raises ValueError.
     """
-    g = primal_graph(a) if side == "primal" else dual_graph(a)
-    parent: list[Optional[int]] = [None] * g.vertex_count
-    for comp in connected_components(g):
-        sub = g.induced(comp)
+    adj = _matrix_adjacency(a, side)
+    parent: list[Optional[int]] = [None] * len(adj)
+    for comp in _mask_components((1 << len(adj)) - 1, adj):
         if mode == "auto":
-            comp_mode = "exact" if len(comp) <= exact_cap else "heuristic"
+            comp_mode = "exact" if comp.bit_count() <= exact_cap else "heuristic"
         else:
             comp_mode = mode
-        f = td_compute(sub, mode=comp_mode, exact_cap=exact_cap)
-        for i, v in enumerate(comp):
-            p = f.parent[i]
-            parent[v] = comp[p] if p is not None else None
+        _decompose(comp, adj, comp_mode, exact_cap, parent)
     return TdDecomposition(parent)

@@ -119,6 +119,25 @@ def lowest_root_decomposition(g) -> tuple:
     return tuple(parent)
 
 
+def components_by_union_find(g) -> list[list[int]]:
+    """Connected components by union-find over the edge list, each sorted,
+    ordered by their lowest vertex."""
+    root = list(range(g.vertex_count))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for u, v in g.edges:
+        root[find(u)] = find(v)
+    groups: dict[int, list[int]] = {}
+    for v in range(g.vertex_count):
+        groups.setdefault(find(v), []).append(v)
+    return sorted(groups.values())
+
+
 def structured_invertible_matrix(rng, n: int, height: int, magnitude: int) -> Matrix:
     """Invertible integer matrix with primal treedepth at most height.
 

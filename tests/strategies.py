@@ -64,3 +64,25 @@ def connected_graphs(draw):
                                                max_size=n * (n - 1) // 2)) if u != v]
     label = draw(st.permutations(range(n)))
     return Graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+@st.composite
+def graphs(draw):
+    """Graphs on 0-20 vertices with up to 2n edges, often disconnected."""
+    n = draw(st.integers(0, 20))
+    if n < 2:
+        return Graph(n, [])
+    vertex = st.integers(0, n - 1)
+    return Graph(n, [(u, v) for u, v in draw(st.lists(st.tuples(vertex, vertex),
+                                                        max_size=2 * n)) if u != v])
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Integer matrices up to 8x10, most entries zero, so both interaction
+    graphs split into several components."""
+    rows = draw(st.integers(0, 8))
+    cols = draw(st.integers(0, 10))
+    entries = draw(st.lists(st.sampled_from((0, 0, 0, 0, 1, -2)), min_size=rows * cols,
+                            max_size=rows * cols))
+    return Matrix([entries[i * cols:(i + 1) * cols] for i in range(rows)], cols=cols)

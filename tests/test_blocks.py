@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tdmilp.blocks import hatted_blocks, primal_decompose, structure_trace
+from tdmilp.blocks import hatted_blocks, primal_decompose, split_forest, structure_trace
 from tdmilp.families import FamilySpec, generate
 from tdmilp.linalg import Matrix
 from tdmilp.structure import (StructureError, TdDecomposition,
@@ -122,3 +122,18 @@ def test_structure_trace_renders_components():
     f = decomposition_for_matrix(a, "primal", "exact")
     text = structure_trace(a, f)
     assert "component 0" in text and "component 1" in text
+
+
+class TestSplitForest:
+    def test_parts_follow_the_roots(self):
+        # trees {0, 2} and {1, 3}; row 1 is zero and belongs to no part
+        a = Matrix([[0, 1, 0, 2], [0, 0, 0, 0], [3, 0, 4, 0], [5, 0, 0, 0]])
+        f = TdDecomposition([None, None, 0, 1])
+        parts = split_forest(a, f)
+        assert [(rows, cols) for rows, cols, _, _ in parts] == [([2, 3], [0, 2]), ([0], [1, 3])]
+        assert parts[0][2] == Matrix([[3, 4], [5, 0]])
+        assert [f_sub.parent for _, _, _, f_sub in parts] == [(None, 0), (None, 0)]
+
+    def test_row_spanning_two_trees_rejected(self):
+        with pytest.raises(StructureError, match="row spans decomposition trees"):
+            split_forest(Matrix([[1, 1]]), TdDecomposition([None, None]))

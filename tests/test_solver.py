@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from tdmilp.integralize import MilpInstance, choose_scale, pure_ilp
 from tdmilp.linalg import Matrix
 from tdmilp.simplex import SolverError, lp_solve_exact
-from tdmilp.solver import (PipelineOptions, PipelineReport, _determinant_scale, ilp_solve,
-                           milp_oracle, milp_solve, vertex_enumerate)
+from tdmilp.solver import (PipelineOptions, PipelineReport, _determinant_scale, choose_side,
+                           ilp_solve, milp_oracle, milp_solve, vertex_enumerate)
 from tdmilp.structure import CapExceededError
 from instances import (dense_continuous, dense_continuous_exact, nfold_one_integer,
                        wide_certificate)
@@ -204,6 +204,21 @@ class TestScaleWitness:
         other = 1 - branched
         assert [(lo[other], up[other]) for lo, up in bounds] == [(0, 1)] * 3
         assert [(lo[branched], up[branched]) for lo, up in bounds] == [(0, 1), (0, 0), (1, 1)]
+
+
+class TestChooseSide:
+    def test_an_explicit_side_still_returns_both_decompositions(self):
+        a = Matrix([[1, 1, 0], [0, 1, 1]])
+        for side in ("primal", "dual", "auto"):
+            chosen, fs = choose_side(a, side, 16)
+            assert sorted(fs) == ["dual", "primal"]
+            assert chosen == ("primal" if side == "auto" else side)
+
+    def test_unknown_side_rejected(self):
+        inst = MilpInstance(a_int=Matrix([[1]]), a_frac=Matrix([[2]]), b=(1,), c=(0, 1),
+                            lower=(0, 0), upper=(1, 1))
+        with pytest.raises(ValueError, match="unknown side 'bogus'"):
+            milp_solve(inst, PipelineOptions(side="bogus"))
 
 
 class TestPipeline:

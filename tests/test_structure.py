@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdmilp.linalg import Matrix
 from tdmilp.structure import (CapExceededError, Graph, StructureError,
@@ -9,8 +10,9 @@ from tdmilp.structure import (CapExceededError, Graph, StructureError,
                               decomposition_for_matrix, dual_graph, primal_graph,
                               restrict_decomposition, td_compute, td_stats,
                               validate_td)
-from oracles import lowest_root_decomposition, treedepth_by_subset_dp
-from strategies import connected_graphs
+from oracles import (components_by_union_find, lowest_root_decomposition,
+                     treedepth_by_subset_dp)
+from strategies import connected_graphs, graphs, sparse_matrices
 
 
 def path_graph(n):
@@ -70,6 +72,11 @@ class TestGraphs:
     def test_components(self):
         g = Graph(5, [(0, 1), (3, 4)])
         assert connected_components(g) == [[0, 1], [2], [3, 4]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=graphs())
+    def test_components_match_union_find(self, g):
+        assert connected_components(g) == components_by_union_find(g)
 
 
 class TestTdCompute:
@@ -241,3 +248,65 @@ def test_decomposition_for_matrix_handles_components():
     f = decomposition_for_matrix(a, "primal", "exact")
     assert len(f.roots) == 2
     assert validate_td(primal_graph(a), f)
+
+
+def test_decomposition_for_matrix_rejects_an_unknown_side():
+    with pytest.raises(ValueError, match="unknown side 'rows'"):
+        decomposition_for_matrix(Matrix([[1, 1]]), "rows")
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=sparse_matrices(), side=st.sampled_from(("primal", "dual")),
+       mode=st.sampled_from(("exact", "heuristic")))
+def test_matrix_decomposition_is_td_compute_per_component(a, side, mode):
+    g = primal_graph(a) if side == "primal" else dual_graph(a)
+    f = decomposition_for_matrix(a, side, mode)
+    for comp in connected_components(g):
+        assert restrict_decomposition(f, comp) == td_compute(g.induced(comp), mode)
+
+
+def _chain_plus_chords(seed, n, p):
+    """The path 0-1-...-(n-1) and, with probability p each, the chords i-j, j >= i + 2."""
+    rng = random.Random(seed)
+    return Graph(n, [(i, i + 1) for i in range(n - 1)]
+                 + [(i, j) for i in range(n) for j in range(i + 2, n) if rng.random() < p])
+
+
+def _grid(r, c):
+    return Graph(r * c, [(i * c + j, i * c + j + 1) for i in range(r) for j in range(c - 1)]
+                 + [(i * c + j, (i + 1) * c + j) for i in range(r - 1) for j in range(c)])
+
+
+class TestHeuristicPinned:
+    """Parent arrays of the separator heuristic, pinned on graphs past the
+    exact cap: its balance, degree and lowest-index tie-breaks must not move."""
+
+    @pytest.mark.parametrize("g, parent", [
+        (_chain_plus_chords(1, 17, 0.15),
+         (10, 14, 1, 7, 3, 4, None, 16, 5, 8, 2, 0, 9, 14, 12, 11, 6)),
+        (_chain_plus_chords(2, 22, 0.1),
+         (20, 0, None, 2, 1, 15, 21, 8, 3, 6, 7, 9, 13, 4, 12, 16, 14, 5, 11, 18, 10, 17)),
+        (_chain_plus_chords(3, 30, 0.08),
+         (23, 28, 21, 11, 13, 6, 1, 0, 9, 19, 24, 12, 17, 10, 4, 16, 3, 8, 7, 18, 26, 15,
+          5, 22, 2, 26, 14, 20, None, 28)),
+        (_grid(5, 6),
+         (None, 0, 1, 2, 3, 11, 11, 6, 7, 8, 16, 4, 18, 12, 21, 14, 9, 23, 19, 26, 19, 28,
+          21, 16, 18, 24, 14, 26, 23, 28)),
+    ], ids=["chords17", "chords22", "chords30", "grid5x6"])
+    def test_graphs(self, g, parent):
+        f = td_compute(g, "heuristic")
+        assert f.parent == parent
+        assert validate_td(g, f)
+
+    def test_matrix_auto_mode_on_both_sides(self):
+        # rows are the edges of a 20-vertex graph, then a separate 2x2 block:
+        # a 20-column primal and a 32-row dual component, both past the cap
+        g = _chain_plus_chords(4, 20, 0.06)
+        rows = [[1 if j == u else 2 if j == v else 0 for j in range(22)]
+                for u, v in sorted(g.edges)]
+        a = Matrix(rows + [[0] * 20 + [1, 2], [0] * 20 + [3, 1]])
+        assert decomposition_for_matrix(a, "primal", "auto").parent == (
+            2, 0, None, 4, 17, 4, 7, 9, 15, 13, 6, 10, 11, 14, 8, 5, 8, 2, 17, 18, None, 20)
+        assert decomposition_for_matrix(a, "dual", "auto").parent == (
+            1, None, 30, 4, 5, 2, 3, 6, 23, 19, 9, 22, 8, 10, 13, 14, 15, 20, 27, 11, 24, 12,
+            21, 17, 25, 26, 18, 29, 7, 28, 1, 30, None, 32)
