@@ -167,38 +167,48 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_INVARIANT
 
 
+# the optional flags and, per command, the ones it reads; an unread flag is
+# a usage error
+_FLAGS = {
+    "side": (("--side",), dict(choices=("primal", "dual", "auto"), default="auto")),
+    "scale": (("--scale",), dict(type=int, default=None,
+                                 help="override the integralization scale")),
+    "exact_td_cap": (("--exact-td-cap",), dict(type=int, default=16, dest="exact_td_cap")),
+    "bit_cap": (("--bit-cap",), dict(type=int, default=10 ** 6, dest="bit_cap")),
+    "seed": (("--seed",), dict(type=int, default=None)),
+}
+
+_COMMANDS = (
+    ("analyze", _cmd_analyze, ("exact_td_cap",)),
+    ("bound", _cmd_bound, ("side", "exact_td_cap", "bit_cap")),
+    ("solve", _cmd_solve, ("side", "scale", "exact_td_cap", "bit_cap")),
+    ("oracle", _cmd_oracle, ()),
+    ("invert", _cmd_invert, ("exact_td_cap",)),
+    ("reduce", _cmd_reduce, ()),
+    ("gen", _cmd_gen, ("seed",)),
+    ("verify", _cmd_verify, ("seed",)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tdmilp",
                                      description="Exact MILP solving for small-treedepth matrices")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_path=True):
-        if with_path:
+    for name, fn, flags in _COMMANDS:
+        p = sub.add_parser(name)
+        if name in ("gen", "verify"):
+            p.add_argument("family", choices=MATRIX_FAMILIES + DESCRIPTOR_FAMILIES)
+            p.add_argument("--n", type=int, default=None)
+            p.add_argument("--t", type=int, default=None)
+            p.add_argument("--k", type=int, default=None)
+            p.add_argument("--magnitude", type=int, default=1)
+        else:
             p.add_argument("path", nargs="?", default="-",
                            help="input file ('-' or omitted for stdin)")
-        p.add_argument("--side", choices=("primal", "dual", "auto"), default="auto")
-        p.add_argument("--scale", type=int, default=None,
-                       help="override the integralization scale")
-        p.add_argument("--exact-td-cap", type=int, default=16, dest="exact_td_cap")
-        p.add_argument("--bit-cap", type=int, default=10 ** 6, dest="bit_cap")
-        p.add_argument("--seed", type=int, default=None)
+        for flag in flags:
+            names, kwargs = _FLAGS[flag]
+            p.add_argument(*names, **kwargs)
         p.add_argument("--format", choices=("text", "machine"), default="text")
-
-    for name, fn in (("analyze", _cmd_analyze), ("bound", _cmd_bound),
-                     ("solve", _cmd_solve), ("oracle", _cmd_oracle),
-                     ("invert", _cmd_invert), ("reduce", _cmd_reduce)):
-        p = sub.add_parser(name)
-        common(p)
-        p.set_defaults(func=fn)
-
-    for name, fn in (("gen", _cmd_gen), ("verify", _cmd_verify)):
-        p = sub.add_parser(name)
-        p.add_argument("family", choices=MATRIX_FAMILIES + DESCRIPTOR_FAMILIES)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--t", type=int, default=None)
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument("--magnitude", type=int, default=1)
-        common(p, with_path=False)
         p.set_defaults(func=fn)
     return parser
 

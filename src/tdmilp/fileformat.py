@@ -114,9 +114,11 @@ def parse_instance(text: str) -> ParsedInstance:
             if len(rhs_part) != 1:
                 raise ParseError("row needs exactly one rhs", line_no)
             rhs = _num(rhs_part[0], line_no)
-            scale = lcm(rhs.denominator, *(c.denominator for c in coeffs)) if coeffs \
-                else rhs.denominator
-            rows.append(([c * scale for c in coeffs], rhs * scale))
+            scale = lcm(rhs.denominator, *(c.denominator for c in coeffs))
+            if scale != 1:
+                coeffs = [c * scale for c in coeffs]
+                rhs *= scale
+            rows.append((coeffs, rhs))
         elif key == "ineq":
             raise ParseError("inequality rows are reserved and not supported in v1", line_no)
         else:
@@ -145,7 +147,8 @@ def parse_instance(text: str) -> ParsedInstance:
             raise ParseError(f"row needs {n} coefficients, got {len(coeffs)}", 1)
 
     int_cols = sorted(ints)
-    cont_cols = [j for j in range(n) if j not in set(ints)]
+    int_set = set(ints)
+    cont_cols = [j for j in range(n) if j not in int_set]
     order = int_cols + cont_cols
     if rows:
         a_int = Matrix([[r[0][j] for j in int_cols] for r in rows], cols=len(int_cols))

@@ -41,7 +41,12 @@ def rational(value: int | str | Fraction) -> Fraction:
         token = value.strip()
         if not _RATIONAL_RE.match(token):
             raise ValueError(f"not an integer or p/q rational: {value!r}")
-        return Fraction(token)
+        if "/" not in token:
+            return Fraction(int(token))
+        try:
+            return Fraction(token)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {value!r}") from None
     raise TypeError(f"cannot make a rational from {type(value).__name__}")
 
 

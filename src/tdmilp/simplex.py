@@ -1,14 +1,16 @@
-"""Exact bounded-variable simplex over rationals.
+"""Exact bounded-variable simplex over the integers.
 
 Two phases with artificial variables, Bland's rule for anti-cycling, no
-tolerances anywhere.  The tableau is integer-preserving: it holds Python ints
-over one common denominator, |det B| of the current basis, and pivots by the
-fraction-free elimination of Bareiss (every division is exact).  Rational data
-is scaled to integers first, rows by one common factor and costs by another;
-neither changes a pivot.  Only the basic values and the ratio-test steps are
-rationals.  Structural variables need finite bounds (instances here always
-carry boxes); the solver returns a basic feasible solution, so the basis
-columns are invertible and every non-basic variable sits at a bound.
+tolerances anywhere.  The pivot loop touches Python ints only: the tableau
+and the basic values share one common denominator, |det B| of the current
+basis, and pivot by the fraction-free elimination of Bareiss (every division
+is exact); the ratio test compares steps by cross-multiplication.  Rational
+data is scaled to integers first, rows by one common factor, costs by another
+and bounds by a third; none changes a pivot.  Values become rationals only
+when the solution is read off.  Structural variables need finite bounds
+(instances here always carry boxes); the solver returns a basic feasible
+solution, so the basis columns are invertible and every non-basic variable
+sits at a bound.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class SolveStats:
 class SolveResult:
     """Outcome of an exact solve."""
 
-    status: str  # optimal | infeasible | unbounded
+    status: str  # optimal | infeasible
     x: Optional[tuple[Fraction, ...]] = None
     objective: Optional[Fraction] = None
     basis: Optional[tuple[int, ...]] = None
@@ -64,70 +66,94 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
+IntRows = tuple[tuple[int, ...], ...]
+
+# the last (a, b) handed to _integer_rows and its result: branch and bound
+# solves every node LP over one matrix and right-hand side
+_last_rows: Optional[tuple[Matrix, tuple[Fraction, ...], Optional[IntRows]]] = None
+
+
+def _integer_rows(a: Matrix, b: tuple[Fraction, ...]) -> Optional[IntRows]:
+    """``reduce_rows(a, b)`` as int rows (coefficients, then the rhs), all
+    scaled by one common factor; None when the system is inconsistent.
+
+    The last call is remembered: a Matrix is immutable, so the same object
+    with an equal b reduces to the same rows.
+    """
+    global _last_rows
+    if _last_rows is not None and _last_rows[0] is a and _last_rows[1] == b:
+        return _last_rows[2]
+    reduced = reduce_rows(a, b)
+    rows = None
+    if reduced is not None:
+        red, rhs = reduced
+        w = a.cols + 1
+        flat, _ = _over_common_denominator([v for i in range(red.rows)
+                                            for v in (*red.row(i), rhs[i])])
+        rows = tuple(tuple(flat[i * w:(i + 1) * w]) for i in range(red.rows))
+    _last_rows = (a, b, rows)
+    return rows
+
+
 class _BoundedSimplex:
     """Tableau simplex with variable bounds and an artificial basis.
 
-    The tableau holds ints over one positive common denominator: row i of
-    ``tableau`` is ``den`` times row i of B^-1 A for the current basis B, with
-    ``den`` = |det B|, so every entry is a minor of (A | I) and every pivot
-    divides exactly (Bareiss).  Only the structural columns are kept, because an
-    artificial column never enters.  The basic values ``xb`` stay rationals.
+    Everything is an int over one positive common denominator ``den`` =
+    |det B| for the current basis B.  Row i of ``tableau`` is ``den`` times
+    row i of B^-1 A, then one more column ``beta``: ``den * scale`` times the
+    value of the i-th basic variable, where ``scale`` clears every bound
+    denominator.  Every tableau entry is a minor of (A | I), so every pivot
+    divides exactly (Bareiss); the beta column is pivoted with the rest.
+    Only the structural columns are kept, because an artificial column never
+    enters.  ``lo`` and ``up`` hold ``scale`` times the structural bounds.
     """
 
-    def __init__(self, a: Matrix, b: Sequence[Fraction], lo: list[Fraction],
-                 up: list[Fraction], stats: SolveStats, pivot_cap: int):
-        self.n = a.cols
-        self.m = a.rows
-        self.lo = lo
-        self.up = up
+    def __init__(self, rows: IntRows, lo: list[Fraction], up: list[Fraction],
+                 stats: SolveStats, pivot_cap: int):
+        self.n = n = len(lo)
+        self.m = len(rows)
         self.stats = stats
         self.pivot_cap = pivot_cap
 
-        # one factor clears every denominator of a and b; the scaled rows hold
-        # the same x with every artificial multiplied by it, so each pivot
-        # choice and each step of x stays the same
-        w = self.n + 1
-        flat, _ = _over_common_denominator(
-            [v for i in range(self.m) for v in (*a.row(i), b[i])])
-        lo_num, lo_den = _over_common_denominator(lo)
+        # scaling the rows multiplies only the artificials, and scaling the
+        # bounds multiplies every value by scale, so no pivot choice changes
+        self.scale = math.lcm(*(v.denominator for v in (*lo, *up)))
+        self.lo = [v.numerator * (self.scale // v.denominator) for v in lo]
+        self.up = [v.numerator * (self.scale // v.denominator) for v in up]
         self.tableau = []
-        self.xb = []
         self.den = 1
         # start every structural variable at its lower bound; flip row signs
         # so the artificial basis starts nonnegative
-        for i in range(self.m):
-            row = flat[i * w:i * w + self.n]
-            r = flat[i * w + self.n] * lo_den - sum(v * lo_num[j] for j, v in enumerate(row)
-                                                    if v != 0)
-            if r < 0:
-                row = [-v for v in row]
-                r = -r
-            self.tableau.append(row)
-            self.xb.append(Fraction(r, lo_den))
-        self.basis = list(range(self.n, self.n + self.m))
-        self.at_upper = [False] * (self.n + self.m)
-        self.is_basic = [False] * self.n + [True] * self.m
+        for row in rows:
+            beta = row[n] * self.scale - sum(v * l for v, l in zip(row, self.lo) if v != 0)
+            sign = -1 if beta < 0 else 1
+            self.tableau.append([sign * v for v in row[:n]] + [sign * beta])
+        self.basis = list(range(n, n + self.m))
+        self.at_upper = [False] * (n + self.m)
+        self.is_basic = [False] * n + [True] * self.m
 
-    # artificials are [0, +inf); structural bounds are finite
-    def _lower(self, j: int) -> Fraction:
-        return self.lo[j] if j < self.n else Fraction(0)
-
-    def _upper(self, j: int) -> Optional[Fraction]:
-        return self.up[j] if j < self.n else None
+    def _bound(self, j: int) -> int:
+        """scale times the value of non-basic j; artificials sit at 0."""
+        if j >= self.n:
+            return 0
+        return self.up[j] if self.at_upper[j] else self.lo[j]
 
     def value_of(self, j: int) -> Fraction:
         if self.is_basic[j]:
-            return self.xb[self.basis.index(j)]
-        if self.at_upper[j]:
-            return self._upper(j)
-        return self._lower(j)
+            return Fraction(self.tableau[self.basis.index(j)][self.n], self.den * self.scale)
+        return Fraction(self._bound(j), self.scale)
 
-    def iterate(self, costs: list[int]) -> str:
+    def infeasible(self) -> bool:
+        """Some basic artificial is nonzero (all are >= 0 throughout)."""
+        return any(row[self.n] for k, row in zip(self.basis, self.tableau) if k >= self.n)
+
+    def iterate(self, costs: list[int]) -> None:
         """Pivot to optimality; only structural columns may enter (Bland).
 
         Costs are ints; a positive multiple of the costs prices alike.
         """
-        m, n = self.m, self.n
+        n = self.n
+        lo, up = self.lo, self.up
         while True:
             if self.stats.pivots > self.pivot_cap:
                 raise SolverError("pivot cap exceeded")
@@ -136,7 +162,7 @@ class _BoundedSimplex:
             entering = -1
             direction = 0
             for j in range(n):
-                if self.is_basic[j] or self.lo[j] == self.up[j]:
+                if self.is_basic[j] or lo[j] == up[j]:
                     continue
                 # den times the reduced cost; den > 0 keeps its sign
                 rc = costs[j] * self.den - sum(cb * row[j] for cb, row in priced if row[j] != 0)
@@ -147,54 +173,67 @@ class _BoundedSimplex:
                     entering, direction = j, -1
                     break
             if entering < 0:
-                return "optimal"
+                return
 
-            d = [row[entering] for row in self.tableau]  # den times the column
-            # candidate steps: the entering variable's own range, then each
-            # basic variable hitting one of its bounds
-            t_best: Optional[Fraction] = self.up[entering] - self.lo[entering]
-            leave_row = -1  # -1 encodes the bound flip of the entering variable
+            # candidate steps of the entering variable, each held as num / dl
+            # = scale times the step and compared by cross-multiplication: its
+            # own range first (a bound flip), then each basic variable
+            # hitting one of its bounds
+            best_num, best_dl = up[entering] - lo[entering], 1
+            leave_row = -1
             cand_var = entering
             leave_to_upper = False
-            for i in range(m):
-                delta = -direction * d[i]
+            den = self.den
+            for i, row in enumerate(self.tableau):
+                delta = -direction * row[entering]
                 if delta == 0:
                     continue
                 k = self.basis[i]
                 if delta > 0:
-                    uk = self._upper(k)
-                    if uk is None:
+                    if k >= n:  # artificials have no upper bound
                         continue
-                    ratio = (uk - self.xb[i]) * self.den / delta
-                    hits_upper = True
+                    num, dl = den * up[k] - row[n], delta
                 else:
-                    ratio = (self.xb[i] - self._lower(k)) * self.den / -delta
-                    hits_upper = False
-                if t_best is None or ratio < t_best or (ratio == t_best and k < cand_var):
-                    t_best = ratio
+                    num, dl = row[n] - (den * lo[k] if k < n else 0), -delta
+                lhs, rhs = num * best_dl, best_num * dl
+                if lhs < rhs or (lhs == rhs and k < cand_var):
+                    best_num, best_dl = num, dl
                     leave_row = i
                     cand_var = k
-                    leave_to_upper = hits_upper
-            if t_best is None:
-                return "unbounded"
+                    leave_to_upper = delta > 0
 
             self.stats.pivots += 1
-            step = direction * t_best / self.den
-            for i in range(m):
-                if d[i] != 0:
-                    self.xb[i] -= d[i] * step
             if leave_row < 0:
+                # the entering variable crosses its whole range
+                span = direction * (up[entering] - lo[entering])
+                for row in self.tableau:
+                    if row[entering] != 0:
+                        row[n] -= span * row[entering]
                 self.at_upper[entering] = direction == 1
                 continue
-            enter_value = (self.lo[entering] + t_best if direction == 1
-                           else self.up[entering] - t_best)
-            out = self.basis[leave_row]
-            self._pivot(leave_row, entering)
-            self.is_basic[out] = False
-            self.at_upper[out] = leave_to_upper
-            self.basis[leave_row] = entering
-            self.is_basic[entering] = True
-            self.xb[leave_row] = enter_value
+            self._exchange(leave_row, entering, leave_to_upper)
+
+    def _exchange(self, row: int, col: int, to_upper: bool) -> None:
+        """Variable col enters the basis at row; the leaving one goes to its
+        upper bound when to_upper, else to its lower bound.
+
+        The beta column is first rewritten for the new non-basic values (col
+        leaves its bound, the leaving variable takes one); the pivot then
+        carries it over to the new basis.
+        """
+        n = self.n
+        out = self.basis[row]
+        enter_from = self._bound(col)
+        if enter_from != 0:
+            for r in self.tableau:
+                if r[col] != 0:
+                    r[n] += enter_from * r[col]
+        self.at_upper[out] = to_upper
+        self.tableau[row][n] -= self._bound(out) * self.den
+        self._pivot(row, col)
+        self.is_basic[out] = False
+        self.basis[row] = col
+        self.is_basic[col] = True
 
     def _pivot(self, row: int, col: int) -> None:
         """Fraction-free pivot: the pivot entry becomes the denominator."""
@@ -222,23 +261,17 @@ class _BoundedSimplex:
             piv_col = next((j for j in range(self.n) if self.tableau[i][j] != 0), None)
             if piv_col is None:
                 raise SolverError("dependent row survived reduction")
-            out = self.basis[i]
-            value = self.value_of(piv_col)
-            self._pivot(i, piv_col)
-            self.is_basic[out] = False
-            self.at_upper[out] = False
-            self.basis[i] = piv_col
-            self.is_basic[piv_col] = True
-            self.xb[i] = value
+            self._exchange(i, piv_col, False)
 
 
 def lp_solve_exact(a: Matrix, b: Sequence, lower: Sequence, upper: Sequence,
                    c: Sequence, pivot_cap: int = 1_000_000) -> SolveResult:
     """min c.x s.t. a x = b, lower <= x <= upper, all arithmetic exact.
 
-    Bounds must be finite.  Returns an optimal basic feasible solution, the
-    infeasible status, or (defensively, unreachable under finite boxes) the
-    unbounded status.
+    Bounds must be finite, so the optimum exists whenever the system is
+    feasible.  Returns an optimal basic feasible solution or the infeasible
+    status.  Consecutive calls with the same ``a`` object and an equal ``b``
+    (the node LPs of one branch and bound) reduce the rows once.
     """
     n = a.cols
     lo = [Fraction(v) for v in lower]
@@ -249,24 +282,17 @@ def lp_solve_exact(a: Matrix, b: Sequence, lower: Sequence, upper: Sequence,
     if any(l > u for l, u in zip(lo, up)):
         return SolveResult(status="infeasible")
 
-    reduced = reduce_rows(a, [Fraction(v) for v in b])
-    if reduced is None:
+    rows = _integer_rows(a, tuple(Fraction(v) for v in b))
+    if rows is None:
         return SolveResult(status="infeasible")
-    a, bvec = reduced
     stats = SolveStats()
-    sx = _BoundedSimplex(a, bvec, lo, up, stats, pivot_cap)
+    sx = _BoundedSimplex(rows, lo, up, stats, pivot_cap)
 
-    phase1 = [0] * n + [1] * sx.m
-    if sx.iterate(phase1) != "optimal":
-        raise SolverError("phase 1 cannot be unbounded")
-    infeasibility = sum((sx.value_of(j) for j in range(n, n + sx.m)), Fraction(0))
-    if infeasibility != 0:
+    sx.iterate([0] * n + [1] * sx.m)
+    if sx.infeasible():
         return SolveResult(status="infeasible", stats=stats)
     sx.drive_out_artificials()
-
-    phase2 = _over_common_denominator(cv)[0] + [0] * sx.m
-    if sx.iterate(phase2) == "unbounded":
-        return SolveResult(status="unbounded", stats=stats)
+    sx.iterate(_over_common_denominator(cv)[0] + [0] * sx.m)
 
     x = tuple(sx.value_of(j) for j in range(n))
     objective = sum((cv[j] * x[j] for j in range(n)), Fraction(0))

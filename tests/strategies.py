@@ -35,6 +35,30 @@ def rational_lps(draw):
 
 
 @st.composite
+def rational_box_lps(draw):
+    """LPs (a, b, lower, upper, c) with up to 3 rows and 4 columns, integer a
+    and c, and p/q bounds (q <= 4) on boxes at most 2 wide.  Half of them
+    take b = a x0 for a point x0 of the box, so they are feasible; the rest
+    draw b as p/q."""
+    rows = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    coeff = st.integers(-2, 2)
+    a = Matrix([draw(st.lists(coeff, min_size=n, max_size=n)) for _ in range(rows)])
+    lower = draw(st.lists(st.builds(Fraction, st.integers(-8, 4), st.integers(1, 4)),
+                          min_size=n, max_size=n))
+    upper = [lo + draw(st.builds(Fraction, st.integers(0, 8), st.integers(1, 4)))
+             for lo in lower]
+    if draw(st.booleans()):
+        x0 = [lo + draw(st.sampled_from((0, Fraction(1, 3), Fraction(1, 2), 1))) * (up - lo)
+              for lo, up in zip(lower, upper)]
+        b = list(a.apply_vector(x0))
+    else:
+        b = draw(st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+                          min_size=rows, max_size=rows))
+    return a, b, lower, upper, draw(st.lists(coeff, min_size=n, max_size=n))
+
+
+@st.composite
 def mixed_instances(draw):
     """Mixed instances with up to 3 rows and 5 variables (integer columns
     first, any split), boxes at most 3 wide."""

@@ -53,7 +53,29 @@ ub 2
 """
 
 
+def one_row(token):
+    return f"MILP v1\nvars 1\nobj 1\nrow {token} = 1\nlb 0\nub 2\n"
+
+
 class TestParseInstance:
+    @pytest.mark.parametrize("token, coeff, rhs", [
+        ("+3", 3, 1), ("-0", 0, 1), ("4/6", 2, 3), ("\u0663", 3, 1),  # Arabic-Indic 3
+    ])
+    def test_accepted_tokens(self, token, coeff, rhs):
+        inst = parse_instance(one_row(token)).instance
+        assert inst.a_frac == Matrix([[coeff]]) and inst.b == (rhs,)
+
+    @pytest.mark.parametrize("token, message", [
+        ("1_0", "not an integer or p/q rational: '1_0'"),
+        ("1.5", "not an integer or p/q rational: '1.5'"),
+        ("1/0", "zero denominator: '1/0'"),
+    ])
+    def test_rejected_tokens(self, token, message):
+        with pytest.raises(ParseError) as exc:
+            parse_instance(one_row(token))
+        assert exc.value.line == 4
+        assert str(exc.value) == f"line 4: {message}"
+
     def test_minimal_file(self):
         parsed = parse_instance(TINY)
         inst = parsed.instance
@@ -221,6 +243,49 @@ class TestCommands:
         assert code == 2
         assert out == ""
         assert err.getvalue().startswith("error: ") and message in err.getvalue()
+
+    def test_invert_zero_denominator_is_usage_error(self):
+        err = io.StringIO()
+        code, out = run_cli(["invert"], stdin="1 1/0\n0 1\n", err=err)
+        assert code == 2
+        assert out == ""
+        assert err.getvalue() == "error: zero denominator: '1/0'\n"
+
+
+class TestFlags:
+    @pytest.mark.parametrize("args", [
+        ["analyze", "--side", "dual"],
+        ["analyze", "--bit-cap", "5"],
+        ["bound", "--scale", "2"],
+        ["solve", "--seed", "3"],
+        ["oracle", "--exact-td-cap", "8"],
+        ["invert", "--side", "primal"],
+        ["reduce", "--scale", "2"],
+        ["gen", "lemma4_a1", "--n", "3", "--side", "dual"],
+        ["verify", "lemma4_a1", "--n", "3", "--exact-td-cap", "8"],
+    ], ids=lambda args: " ".join(args))
+    def test_unread_flag_is_usage_error(self, args):
+        err = io.StringIO()
+        code, out = run_cli(args, stdin=MIXED, err=err)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err.getvalue()
+
+    @pytest.mark.parametrize("args, stdin", [
+        (["analyze", "--exact-td-cap", "8"], MIXED),
+        (["bound", "--side", "dual", "--exact-td-cap", "8", "--bit-cap", "100"], MIXED),
+        (["solve", "--side", "primal", "--scale", "2", "--exact-td-cap", "8",
+          "--bit-cap", "100"], MIXED),
+        (["oracle"], MIXED),
+        (["invert", "--exact-td-cap", "8"], "2 -1\n0 2\n"),
+        (["reduce"], INFEASIBLE_ILP),
+        (["gen", "lemma4_a1", "--n", "3", "--seed", "1"], ""),
+        (["verify", "lemma4_a1", "--n", "3", "--seed", "1"], ""),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    def test_read_flags_are_accepted(self, args, stdin):
+        code, out = run_cli(args + ["--format", "machine"], stdin=stdin)
+        assert code == 0
+        assert out
 
 
 class TestDeterminism:

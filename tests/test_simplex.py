@@ -1,16 +1,20 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tdmilp
 from tdmilp.linalg import Matrix, mat_det
 from tdmilp.simplex import lp_solve_exact, reduce_rows
 from tdmilp.solver import vertex_enumerate
 from oracles import rank_by_minors
-from strategies import int_matrices, rational_lps
+from strategies import int_matrices, rational_box_lps, rational_lps
 
 
 def bidiagonal(n):
@@ -80,6 +84,18 @@ PINNED = {
     "bound_flips": (
         (Matrix([[1, 2, -1, 3], [2, -1, 1, 1]]), [4, 3], [-2] * 4, [3] * 4, [-1, -2, 3, -1]),
         ((F(3), F(2, 5), F(-2), F(-3, 5)), (1, 3), 5)),
+    # p/q bounds (common bound denominator 60, then 10) with bound flips:
+    # 5 pivots with at most 3 basis changes, then 6 with at most 2
+    "rational_bounds": (
+        (Matrix([[-2, -2, 3, -1, -1], [3, -1, -3, 3, 3]]), [F(4, 3), -1],
+         [F(-3, 4), 0, F(-4, 3), F(-1, 4), F(-2, 3)], [F(9, 20), F(1, 2), F(14, 3), F(1, 4), F(4, 3)],
+         [3, 1, -2, -3, 3]),
+        ((F(-3, 4), F(0), F(1, 8), F(1, 4), F(7, 24)), (2, 4), 5)),
+    "rational_bounds_flips": (
+        (Matrix([[-1, 2, 2, -2, -1], [0, -1, 0, -2, 0]]), [-1, 1],
+         [-2, F(-1, 2), -2, F(-3, 2), -1], [F(-3, 2), F(3, 10), 0, 0, F(-4, 5)],
+         [-3, -1, -1, 1, -1]),
+        ((F(-3, 2), F(-1, 10), F(-2), F(-9, 20), F(-4, 5)), (1, 3), 6)),
 }
 
 
@@ -154,6 +170,67 @@ class TestVertexProperty:
             best = min(sum(Fraction(c[j]) * v[j] for j in range(n)) for v in verts)
             assert res.objective == best
             checked += 1
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(lp=rational_box_lps())
+    def test_rational_bounds_optimum_is_a_vertex(self, lp):
+        a, b, lower, upper, c = lp
+        res = lp_solve_exact(a, b, lower, upper, c)
+        verts = vertex_enumerate(a, b, lower, upper)
+        if res.status != "optimal":
+            assert not verts
+            return
+        assert res.x in verts
+        assert res.objective == min(sum(cj * vj for cj, vj in zip(c, v)) for v in verts)
+        assert a.apply_vector(res.x) == tuple(b)
+        assert all(lo <= v <= up for lo, v, up in zip(lower, res.x, upper))
+        a_red, _ = reduce_rows(a, b)
+        if a_red.rows:
+            assert mat_det(a_red.submatrix(range(a_red.rows), res.basis)) != 0
+        for j in set(range(a.cols)) - set(res.basis):
+            assert res.x[j] in (lower[j], upper[j])
+
+
+def _solve_in_fresh_process(args):
+    """lp_solve_exact(*args) in a new interpreter, as the repr of its result."""
+    code = ("import sys\n"
+            "from fractions import Fraction\n"
+            "from tdmilp.linalg import Matrix\n"
+            "from tdmilp.simplex import lp_solve_exact\n"
+            "a, *rest = eval(sys.stdin.read())\n"
+            "r = lp_solve_exact(Matrix(a), *rest)\n"
+            "print(repr((r.status, r.x, r.objective, r.basis, r.stats.pivots)))\n")
+    a, *rest = args
+    src = os.path.dirname(os.path.dirname(tdmilp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], input=repr((a.row_lists(), *rest)),
+                         capture_output=True, text=True, env=env, check=True)
+    return out.stdout.strip()
+
+
+class TestRowReductionReuse:
+    def test_interleaved_calls_match_fresh_processes(self):
+        a = Matrix([[1, 2, -1, 0], [2, -1, 1, 1]])
+        a_copy = Matrix([[1, 2, -1, 0], [2, -1, 1, 1]])  # equal, another object
+        dep = Matrix([[1, 1, 1, 0], [1, -1, 0, 2], [2, 0, 1, 2]])  # row 3 = row 1 + row 2
+        box = ([-2] * 4, [3] * 4)
+        calls = [
+            (a, [3, 1], *box, [1, -1, 2, 1]),
+            (dep, [2, 1, 3], *box, [-1, 1, 1, -1]),
+            (a, [3, 1], [0, -1, 0, 0], [F(5, 2), 1, 2, 3], [1, -1, 2, 1]),
+            (a_copy, [3, 1], *box, [-1, 1, 0, 2]),
+            (a, [F(1, 2), -4], *box, [1, -1, 2, 1]),
+            (dep, [2, 1, 4], *box, [-1, 1, 1, -1]),  # inconsistent
+            (dep, [2, 1, 3], *box, [1, 1, -1, 1]),
+            (a, [F(1, 2), -4], *box, [1, 1, 1, 1]),
+        ]
+        got = []
+        for args in calls:
+            r = lp_solve_exact(*args)
+            got.append(repr((r.status, r.x, r.objective, r.basis, r.stats.pivots)))
+        assert got[5].startswith("('infeasible'")
+        assert got == [_solve_in_fresh_process(args) for args in calls]
 
 
 class TestReduceRows:

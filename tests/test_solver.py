@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from tdmilp.integralize import MilpInstance, choose_scale, pure_ilp
+from tdmilp.integralize import MilpInstance, choose_scale, integralize, pure_ilp
 from tdmilp.linalg import Matrix
 from tdmilp.simplex import SolverError, lp_solve_exact
 from tdmilp.solver import (PipelineOptions, PipelineReport, _determinant_scale, choose_side,
@@ -99,6 +99,39 @@ class TestIlpSolve:
             assert res.status == status
             if status == "optimal":
                 assert res.objective == best
+
+
+# mixed_bnb benchmark corpus problems 3, 4, 7 and 8 (boxes [-2, 2]): rows, b,
+# c, integer columns z, the scale milp_solve picks, then ilp_solve's
+# (status, x, nodes, pivots, continuous_branches) on the scaled instance
+BNB_PINNED = {
+    "bnb_3": ((((-1, 0, 3, 0, 3, 0, 2), (1, 0, 0, 0, 0, 0, 3), (0, -2, 1, 3, -3, -3, -1)),
+               (-13, -1, 0), (4, -3, -2, 0, 1, -2, 0), 6, 2),
+              ("optimal", (2, 0, -1, 0, -2, 2, -2), 22, 190, 0)),
+    "bnb_4": ((((1, -1, -2, 1, -2, 1, 2, 3), (-1, 0, -2, 2, 2, -3, 3, -1),
+                (3, 1, 3, -2, 1, 0, -1, 0)),
+               (-9, 2, 2), (-6, -6, -9, 1, 1, -3, -3, 4), 6, 11),
+              ("optimal", (0, 1, 1, 2, 2, 2, 0, -22), 98, 870, 0)),
+    "bnb_7": ((((0, -2, 1, 1, -3, -3), (1, 0, -3, -3, 0, -3)),
+               (-13, 7), (6, 1, 9, -6, 7, 2), 5, 3),
+              ("optimal", (-2, 2, -2, -1, 2, 0), 5, 30, 0)),
+    "bnb_8": ((((-2, 2, 1, 1, -3, -1), (0, -3, 1, 3, 1, 2), (-1, -1, 0, 3, -1, -2)),
+               (9, -4, 2), (0, 2, -2, -5, 9, -2), 5, 1),
+              ("optimal", (-2, 2, -2, 1, -1, 1), 39, 320, 0)),
+}
+
+
+class TestBranchAndBoundPaths:
+    @pytest.mark.parametrize("name", sorted(BNB_PINNED))
+    def test_pinned(self, name):
+        (rows, b, c, z, scale), expected = BNB_PINNED[name]
+        n = len(c)
+        inst = MilpInstance(a_int=Matrix([r[:z] for r in rows]),
+                            a_frac=Matrix([r[z:] for r in rows]), b=b, c=c,
+                            lower=(-2,) * n, upper=(2,) * n)
+        res = ilp_solve(integralize(inst, scale), z=z)
+        assert (res.status, res.x, res.stats.nodes, res.stats.pivots,
+                res.stats.continuous_branches) == expected
 
 
 class TestMilpOracle:
