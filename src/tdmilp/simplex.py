@@ -11,14 +11,26 @@ when the solution is read off.  Structural variables need finite bounds
 (instances here always carry boxes); the solver returns a basic feasible
 solution, so the basis columns are invertible and every non-basic variable
 sits at a bound.
+
+Warm start: an optimal result carries its final tableau, and a later call
+with ``start=`` that result and new bounds (same a, b and c) copies it, moves
+the non-basic values onto the new bounds and runs a dual simplex from there,
+skipping both phases.  Branch and bound children only tighten a bound, so
+the parent basis stays dual feasible; when it is not (a fixed variable was
+freed against its reduced cost), the call solves cold.  The dual simplex
+follows Bland's rule too: the leaving row is the one whose basic variable,
+lowest-indexed, lies outside its bounds; the entering column has the least
+ratio |d_j| / |alpha_rj| over the columns that move that variable towards
+the violated bound, ties to the lowest index.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .linalg import Matrix, forward_eliminate
 
@@ -43,6 +55,8 @@ class SolveResult:
     objective: Optional[Fraction] = None
     basis: Optional[tuple[int, ...]] = None
     stats: SolveStats = field(default_factory=SolveStats)
+    # the optimal tableau of lp_solve_exact, read only by its start=
+    final: Optional[_BoundedSimplex] = field(default=None, compare=False, repr=False)
 
 
 def reduce_rows(a: Matrix, b: Sequence[Fraction]) -> Optional[tuple[Matrix, tuple[Fraction, ...]]]:
@@ -68,31 +82,18 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int
 
 IntRows = tuple[tuple[int, ...], ...]
 
-# the last (a, b) handed to _integer_rows and its result: branch and bound
-# solves every node LP over one matrix and right-hand side
-_last_rows: Optional[tuple[Matrix, tuple[Fraction, ...], Optional[IntRows]]] = None
-
 
 def _integer_rows(a: Matrix, b: tuple[Fraction, ...]) -> Optional[IntRows]:
     """``reduce_rows(a, b)`` as int rows (coefficients, then the rhs), all
-    scaled by one common factor; None when the system is inconsistent.
-
-    The last call is remembered: a Matrix is immutable, so the same object
-    with an equal b reduces to the same rows.
-    """
-    global _last_rows
-    if _last_rows is not None and _last_rows[0] is a and _last_rows[1] == b:
-        return _last_rows[2]
+    scaled by one common factor; None when the system is inconsistent."""
     reduced = reduce_rows(a, b)
-    rows = None
-    if reduced is not None:
-        red, rhs = reduced
-        w = a.cols + 1
-        flat, _ = _over_common_denominator([v for i in range(red.rows)
-                                            for v in (*red.row(i), rhs[i])])
-        rows = tuple(tuple(flat[i * w:(i + 1) * w]) for i in range(red.rows))
-    _last_rows = (a, b, rows)
-    return rows
+    if reduced is None:
+        return None
+    red, rhs = reduced
+    w = a.cols + 1
+    flat, _ = _over_common_denominator([v for i in range(red.rows)
+                                        for v in (*red.row(i), rhs[i])])
+    return tuple(tuple(flat[i * w:(i + 1) * w]) for i in range(red.rows))
 
 
 class _BoundedSimplex:
@@ -105,15 +106,20 @@ class _BoundedSimplex:
     denominator.  Every tableau entry is a minor of (A | I), so every pivot
     divides exactly (Bareiss); the beta column is pivoted with the rest.
     Only the structural columns are kept, because an artificial column never
-    enters.  ``lo`` and ``up`` hold ``scale`` times the structural bounds.
+    enters.  ``lo`` and ``up`` hold ``scale`` times the structural bounds;
+    ``costs`` is ``cden`` times the phase-2 costs, zero on the artificials.
+    ``problem`` is the (a, b, c) solved, for checking a warm start.
     """
 
     def __init__(self, rows: IntRows, lo: list[Fraction], up: list[Fraction],
-                 stats: SolveStats, pivot_cap: int):
+                 c: list[Fraction], problem: tuple, stats: SolveStats, pivot_cap: int):
         self.n = n = len(lo)
         self.m = len(rows)
         self.stats = stats
         self.pivot_cap = pivot_cap
+        self.problem = problem
+        ints, self.cden = _over_common_denominator(c)
+        self.costs = ints + [0] * self.m
 
         # scaling the rows multiplies only the artificials, and scaling the
         # bounds multiplies every value by scale, so no pivot choice changes
@@ -138,14 +144,23 @@ class _BoundedSimplex:
             return 0
         return self.up[j] if self.at_upper[j] else self.lo[j]
 
-    def value_of(self, j: int) -> Fraction:
-        if self.is_basic[j]:
-            return Fraction(self.tableau[self.basis.index(j)][self.n], self.den * self.scale)
-        return Fraction(self._bound(j), self.scale)
-
     def infeasible(self) -> bool:
         """Some basic artificial is nonzero (all are >= 0 throughout)."""
         return any(row[self.n] for k, row in zip(self.basis, self.tableau) if k >= self.n)
+
+    def reduced_costs(self, costs: list[int]) -> list[int]:
+        """den times the reduced cost of each structural column (0 on the
+        basic ones); den > 0 keeps the signs."""
+        rc = [cj * self.den for cj in costs[:self.n]]
+        for k, row in zip(self.basis, self.tableau):
+            cb = costs[k]
+            if cb != 0:
+                rc = [r - cb * v for r, v in zip(rc, row)]
+        return rc
+
+    def can_move(self, j: int) -> bool:
+        """Non-basic j with room between its bounds."""
+        return not self.is_basic[j] and self.lo[j] != self.up[j]
 
     def iterate(self, costs: list[int]) -> None:
         """Pivot to optimality; only structural columns may enter (Bland).
@@ -157,19 +172,16 @@ class _BoundedSimplex:
         while True:
             if self.stats.pivots > self.pivot_cap:
                 raise SolverError("pivot cap exceeded")
-            priced = [(costs[k], row) for k, row in zip(self.basis, self.tableau)
-                      if costs[k] != 0]
             entering = -1
             direction = 0
+            rc = self.reduced_costs(costs)
             for j in range(n):
-                if self.is_basic[j] or lo[j] == up[j]:
+                if not self.can_move(j):
                     continue
-                # den times the reduced cost; den > 0 keeps its sign
-                rc = costs[j] * self.den - sum(cb * row[j] for cb, row in priced if row[j] != 0)
-                if not self.at_upper[j] and rc < 0:
+                if not self.at_upper[j] and rc[j] < 0:
                     entering, direction = j, 1
                     break
-                if self.at_upper[j] and rc > 0:
+                if self.at_upper[j] and rc[j] > 0:
                     entering, direction = j, -1
                     break
             if entering < 0:
@@ -263,22 +275,142 @@ class _BoundedSimplex:
                 raise SolverError("dependent row survived reduction")
             self._exchange(i, piv_col, False)
 
+    def dual_feasible(self, cols: Iterable[int]) -> bool:
+        """Every column in cols that can move prices out: its reduced cost is
+        >= 0 at its lower bound and <= 0 at its upper one."""
+        rc = self.reduced_costs(self.costs)
+        return all(rc[j] <= 0 if self.at_upper[j] else rc[j] >= 0
+                   for j in cols if self.can_move(j))
+
+    def warm(self, lower: Sequence, upper: Sequence, stats: SolveStats,
+             pivot_cap: int) -> Optional[_BoundedSimplex]:
+        """A copy of this final state with the bounds replaced and each
+        non-basic value moved onto its new bound; None when the basis is not
+        dual feasible for them.  This state is left as it is."""
+        n = self.n
+        scale = math.lcm(self.scale, *(v.denominator for v in (*lower, *upper)))
+        f = scale // self.scale
+        lo = [v.numerator * (scale // v.denominator) for v in lower]
+        up = [v.numerator * (scale // v.denominator) for v in upper]
+        sx = copy.copy(self)
+        sx.stats, sx.pivot_cap = stats, pivot_cap
+        sx.scale, sx.lo, sx.up = scale, lo, up
+        sx.tableau = [row[:] for row in self.tableau]
+        sx.basis = self.basis[:]
+        sx.at_upper = self.at_upper[:]
+        sx.is_basic = self.is_basic[:]
+        if f != 1:
+            for row in sx.tableau:
+                row[n] *= f
+        moved = [j for j, (l, u, pl, pu) in enumerate(zip(lo, up, self.lo, self.up))
+                 if l != f * pl or u != f * pu]
+        # a reduced cost has the sign its bound needs unless the column was
+        # fixed (lo == up), which the parent never priced
+        freed = [j for j in moved if self.lo[j] == self.up[j]]
+        if freed and not sx.dual_feasible(freed):
+            return None
+        for j in moved:
+            if sx.is_basic[j]:
+                continue
+            shift = (up[j] - f * self.up[j]) if sx.at_upper[j] else (lo[j] - f * self.lo[j])
+            if shift != 0:
+                for row in sx.tableau:
+                    if row[j] != 0:
+                        row[n] -= shift * row[j]
+        return sx
+
+    def dual_iterate(self) -> bool:
+        """Dual simplex from a dual feasible basis to a feasible one, which is
+        then optimal; False when a row shows the bounds cannot be met.
+
+        The basic variable of row r is beta_r - sum_j T[r][j] x_j over den
+        and scale, so non-basic j moves it towards the violated bound when
+        T[r][j] has the sign of that move's direction; only structural
+        columns with lo < up can move.
+        """
+        n = self.n
+        lo, up = self.lo, self.up
+        while True:
+            if self.stats.pivots > self.pivot_cap:
+                raise SolverError("pivot cap exceeded")
+            den = self.den
+            leave_row, leave_var = -1, n
+            for i, (k, row) in enumerate(zip(self.basis, self.tableau)):
+                if k < leave_var and not den * lo[k] <= row[n] <= den * up[k]:
+                    leave_row, leave_var = i, k
+            if leave_row < 0:
+                return True
+            pivot_row = self.tableau[leave_row]
+            to_upper = pivot_row[n] > den * up[leave_var]
+            # raising a column at its lower bound lowers the basic variable
+            # when T[r][j] > 0; lowering one at its upper bound raises it
+            movers = [j for j in range(n) if pivot_row[j] != 0 and self.can_move(j)
+                      and (pivot_row[j] > 0) == (to_upper != self.at_upper[j])]
+
+            # least |rc_j| / |T[r][j]|, held as a pair and compared by
+            # cross-multiplication, ties to the lowest index
+            entering, best_rc, best_a = -1, 0, 1
+            rc = self.reduced_costs(self.costs) if movers else []
+            for j in movers:
+                rc_j, a_rj = abs(rc[j]), abs(pivot_row[j])
+                if entering < 0 or rc_j * best_a < best_rc * a_rj:
+                    entering, best_rc, best_a = j, rc_j, a_rj
+            if entering < 0:
+                return False
+            self.stats.pivots += 1
+            self._exchange(leave_row, entering, to_upper)
+
+    def result(self) -> SolveResult:
+        """The optimal solution read off the integer state, carrying it."""
+        n = self.n
+        den = self.den
+        num = [den * (u if at_up else l) for l, u, at_up in zip(self.lo, self.up, self.at_upper)]
+        for k, row in zip(self.basis, self.tableau):
+            num[k] = row[n]
+        d = den * self.scale
+        objective = Fraction(sum(cj * v for cj, v in zip(self.costs, num) if cj != 0),
+                             d * self.cden)
+        return SolveResult(status="optimal", x=tuple(Fraction(v, d) for v in num),
+                           objective=objective, basis=tuple(sorted(self.basis)),
+                           stats=self.stats, final=self)
+
 
 def lp_solve_exact(a: Matrix, b: Sequence, lower: Sequence, upper: Sequence,
-                   c: Sequence, pivot_cap: int = 1_000_000) -> SolveResult:
+                   c: Sequence, pivot_cap: int = 1_000_000, *,
+                   start: Optional[SolveResult] = None) -> SolveResult:
     """min c.x s.t. a x = b, lower <= x <= upper, all arithmetic exact.
 
     Bounds must be finite, so the optimum exists whenever the system is
     feasible.  Returns an optimal basic feasible solution or the infeasible
-    status.  Consecutive calls with the same ``a`` object and an equal ``b``
-    (the node LPs of one branch and bound) reduce the rows once.
+    status.  ``start``, an optimal result of this function for the same a,
+    b and c, warm-starts the solve from its final tableau by a dual simplex
+    (bounds then must be ints or Fractions); a start that solved another
+    problem raises ValueError.  A warm optimum is checked to price out, and
+    SolverError is raised if it does not.
     """
     n = a.cols
+    if len(lower) != n or len(upper) != n or len(c) != n:
+        raise ValueError("bound/objective length mismatch")
+    if len(b) != a.rows:
+        raise ValueError(f"right-hand side has {len(b)} entries for {a.rows} rows")
+    if start is not None:
+        final = start.final
+        if final is None or final.problem != (a, tuple(b), tuple(c)):
+            raise ValueError("start is not an optimal solve of this (a, b, c)")
+        if any(l > u for l, u in zip(lower, upper)):
+            return SolveResult(status="infeasible")
+        stats = SolveStats()
+        sx = final.warm(lower, upper, stats, pivot_cap)
+        if sx is not None:
+            if not sx.dual_iterate():
+                return SolveResult(status="infeasible", stats=stats)
+            if not sx.dual_feasible(range(n)):
+                raise SolverError("warm start ended on a basis that does not price out")
+            return sx.result()
+
     lo = [Fraction(v) for v in lower]
     up = [Fraction(v) for v in upper]
     cv = [Fraction(v) for v in c]
-    if len(lo) != n or len(up) != n or len(cv) != n:
-        raise ValueError("bound/objective length mismatch")
     if any(l > u for l, u in zip(lo, up)):
         return SolveResult(status="infeasible")
 
@@ -286,15 +418,11 @@ def lp_solve_exact(a: Matrix, b: Sequence, lower: Sequence, upper: Sequence,
     if rows is None:
         return SolveResult(status="infeasible")
     stats = SolveStats()
-    sx = _BoundedSimplex(rows, lo, up, stats, pivot_cap)
+    sx = _BoundedSimplex(rows, lo, up, cv, (a, tuple(b), tuple(c)), stats, pivot_cap)
 
     sx.iterate([0] * n + [1] * sx.m)
     if sx.infeasible():
         return SolveResult(status="infeasible", stats=stats)
     sx.drive_out_artificials()
-    sx.iterate(_over_common_denominator(cv)[0] + [0] * sx.m)
-
-    x = tuple(sx.value_of(j) for j in range(n))
-    objective = sum((cv[j] * x[j] for j in range(n)), Fraction(0))
-    return SolveResult(status="optimal", x=x, objective=objective,
-                       basis=tuple(sorted(sx.basis)), stats=stats)
+    sx.iterate(sx.costs)
+    return sx.result()

@@ -102,7 +102,14 @@ def ilp_solve(inst: IlpInstance, z: Optional[int] = None) -> SolveResult:
     fractional of the first z columns, and only when those are all integral
     the most fractional of the rest, counting such branches in
     ``stats.continuous_branches``.  z=None branches on the most fractional
-    column overall.
+    column overall.  The root LP is solved cold; each child LP is
+    warm-started from its parent's optimal tableau (``lp_solve_exact``'s
+    ``start``), whose basis stays dual feasible because a child only
+    tightens one bound, so a dual simplex with Bland's tie-break (lowest
+    index leaves; least ratio enters, ties to the lowest index) replaces
+    both phases.  At a non-unique LP optimum it may pick another vertex
+    than a cold solve, which can change ``x`` and the node count, never the
+    status or the objective.
     """
     matrix = inst.matrix
     n = matrix.cols
@@ -112,8 +119,9 @@ def ilp_solve(inst: IlpInstance, z: Optional[int] = None) -> SolveResult:
     root = (inst.lower, inst.upper)
     heap: list = []
 
-    def push(lo: tuple[int, ...], up: tuple[int, ...]) -> None:
-        res = lp_solve_exact(matrix, inst.b, lo, up, inst.c)
+    def push(lo: tuple[int, ...], up: tuple[int, ...],
+             parent: Optional[SolveResult] = None) -> None:
+        res = lp_solve_exact(matrix, inst.b, lo, up, inst.c, start=parent)
         stats.pivots += res.stats.pivots
         if res.status != "optimal":
             return
@@ -137,10 +145,10 @@ def ilp_solve(inst: IlpInstance, z: Optional[int] = None) -> SolveResult:
         floor = v.numerator // v.denominator
         down_up = up[:branch_var] + (floor,) + up[branch_var + 1:]
         if lo[branch_var] <= floor:
-            push(lo, down_up)
+            push(lo, down_up, res)
         up_lo = lo[:branch_var] + (floor + 1,) + lo[branch_var + 1:]
         if floor + 1 <= up[branch_var]:
-            push(up_lo, up)
+            push(up_lo, up, res)
     if incumbent is None:
         return SolveResult(status="infeasible", stats=stats)
     return SolveResult(status="optimal", x=incumbent.x, objective=incumbent.objective,

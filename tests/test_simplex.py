@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 import tdmilp
 from tdmilp.linalg import Matrix, mat_det
-from tdmilp.simplex import lp_solve_exact, reduce_rows
+from tdmilp.simplex import SolverError, _BoundedSimplex, lp_solve_exact, reduce_rows
 from tdmilp.solver import vertex_enumerate
 from oracles import rank_by_minors
-from strategies import int_matrices, rational_box_lps, rational_lps
+from strategies import int_matrices, integer_lps, rational_box_lps, rational_lps
 
 
 def bidiagonal(n):
@@ -51,6 +51,11 @@ class TestLpBasics:
         assert res.objective == 0
         res = lp_solve_exact(Matrix([[]], cols=0), [1], [], [], [])
         assert res.status == "infeasible"
+
+    @pytest.mark.parametrize("b", [[1, 5], []], ids=["long", "short"])
+    def test_rhs_length_must_match_rows(self, b):
+        with pytest.raises(ValueError, match="right-hand side"):
+            lp_solve_exact(Matrix([[1]]), b, [0], [2], [1])
 
     def test_high_fractionality_vertex(self):
         # the square bidiagonal system pins x to its inverse's last column,
@@ -190,6 +195,132 @@ class TestVertexProperty:
             assert mat_det(a_red.submatrix(range(a_red.rows), res.basis)) != 0
         for j in set(range(a.cols)) - set(res.basis):
             assert res.x[j] in (lower[j], upper[j])
+
+
+def _assert_basic_feasible(res, a, b, lower, upper):
+    """x solves the rows within its bounds, on invertible basis columns,
+    with every non-basic variable at a bound."""
+    assert a.apply_vector(res.x) == tuple(Fraction(v) for v in b)
+    assert all(lo <= v <= up for lo, v, up in zip(lower, res.x, upper))
+    a_red, _ = reduce_rows(a, b)
+    if a_red.rows:
+        assert mat_det(a_red.submatrix(range(a_red.rows), res.basis)) != 0
+    for j in set(range(a.cols)) - set(res.basis):
+        assert res.x[j] in (lower[j], upper[j])
+
+
+def _final_state(res):
+    sx = res.final
+    return (sx.den, sx.scale, sx.lo, sx.up, sx.basis, sx.at_upper, sx.is_basic,
+            [row[:] for row in sx.tableau])
+
+
+# warm-started children: the parent LP, the child's bounds, then the child's
+# (x, basis, pivots).  The dual ratio test ties in each; the tie goes to the
+# lowest index, where the highest would give another x
+WARM_PINNED = {
+    "dual_degenerate_tie": (  # x0 = 3/2 leaves; x1 and x2 both price at 0
+        (Matrix([[-2, -1, -2, -1]]), [-4], [0] * 4, [3, 3, 2, 1], [2, 1, 2, -2]),
+        ([0] * 4, [1, 3, 2, 1]),
+        ((F(1), F(1), F(0), F(1)), (1,), 1)),
+    "ratio_tie": (  # x1 = 3/2 leaves; x0 and x2 both have ratio 1/1
+        (Matrix([[-1, -1, -1]]), [F(-3, 2)], [0] * 3, [1, 2, 3], [-1, -2, -1]),
+        ([0] * 3, [1, 1, 3]),
+        ((F(1, 2), F(1), F(0)), (0,), 1)),
+}
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("name", sorted(WARM_PINNED))
+    def test_pinned_ties(self, name):
+        (a, b, lower, upper, c), (lo, up), expected = WARM_PINNED[name]
+        parent = lp_solve_exact(a, b, lower, upper, c)
+        child = lp_solve_exact(a, b, lo, up, c, start=parent)
+        assert (child.x, child.basis, child.stats.pivots) == expected
+        assert child.objective == lp_solve_exact(a, b, lo, up, c).objective
+
+    @settings(max_examples=300, deadline=None)
+    @given(lp=st.one_of(integer_lps(), rational_lps(), rational_box_lps()), data=st.data())
+    def test_warm_children_match_cold_children(self, lp, data):
+        # down to three generations, each child warm-started from the one
+        # before: tighten a bound of a fractional basic column to its floor
+        # or ceiling as branch and bound does, or halfway to its value; at
+        # times also move the bound a non-basic column sits at halfway in
+        a, b, lower, upper, c = lp
+        parent = lp_solve_exact(a, b, lower, upper, c)
+        for _ in range(3):
+            if parent.status != "optimal":
+                return
+            fractional = [j for j in parent.basis if parent.x[j].denominator != 1]
+            if not fractional:
+                return
+            j = data.draw(st.sampled_from(fractional))
+            v = parent.x[j]
+            lower, upper = list(lower), list(upper)
+            down, halfway = data.draw(st.booleans()), data.draw(st.booleans())
+            if down:
+                upper[j] = (lower[j] + v) / 2 if halfway else max(lower[j], math.floor(v))
+            else:
+                lower[j] = (v + upper[j]) / 2 if halfway else min(upper[j], math.floor(v) + 1)
+            movable = [k for k in set(range(a.cols)) - set(parent.basis) if lower[k] < upper[k]]
+            if movable and data.draw(st.booleans()):
+                k = data.draw(st.sampled_from(sorted(movable)))
+                mid = Fraction(lower[k] + upper[k]) / 2
+                if parent.x[k] == lower[k]:
+                    lower[k] = mid
+                else:
+                    upper[k] = mid
+            before = _final_state(parent)
+            warm = lp_solve_exact(a, b, lower, upper, c, start=parent)
+            cold = lp_solve_exact(a, b, lower, upper, c)
+            assert _final_state(parent) == before
+            assert (warm.status, warm.objective) == (cold.status, cold.objective)
+            if warm.status == "optimal":
+                _assert_basic_feasible(warm, a, b, lower, upper)
+            parent = warm
+
+    def test_pivot_cap_applies(self):
+        (a, b, lower, upper, c), (lo, up), _ = WARM_PINNED["ratio_tie"]
+        parent = lp_solve_exact(a, b, lower, upper, c)
+        with pytest.raises(SolverError, match="pivot cap"):
+            lp_solve_exact(a, b, lo, up, c, 0, start=parent)
+
+    def test_start_from_another_problem(self):
+        (a, b, lower, upper, c), (lo, up), _ = WARM_PINNED["ratio_tie"]
+        parent = lp_solve_exact(a, b, lower, upper, c)
+        for other in [(Matrix([[-1, -1, -2]]), b, c), (a, [F(-1, 2)], c), (a, b, [1, 1, 1])]:
+            with pytest.raises(ValueError, match="start"):
+                lp_solve_exact(other[0], other[1], lo, up, other[2], start=parent)
+        infeasible = lp_solve_exact(a, [5], lower, upper, c)
+        with pytest.raises(ValueError, match="start"):
+            lp_solve_exact(a, [5], lo, up, c, start=infeasible)
+        # an equal problem in other objects is the same problem
+        same = lp_solve_exact(Matrix([[-1, -1, -1]]), (F(-3, 2),), lo, up, tuple(c), start=parent)
+        assert same.status == "optimal"
+
+    def test_freed_column_against_its_reduced_cost_solves_cold(self, monkeypatch):
+        # x1 is fixed at 0 in the parent; freeing it at its lower bound with
+        # reduced cost -1 breaks dual feasibility, so no dual pivot may run
+        a, b, c = Matrix([[1, 1]]), [1], [0, -1]
+        parent = lp_solve_exact(a, b, [0, 0], [1, 0], c)
+        assert parent.x == (1, 0)
+        monkeypatch.setattr(_BoundedSimplex, "dual_iterate", None)
+        child = lp_solve_exact(a, b, [0, 0], [1, 1], c, start=parent)
+        assert (child.x, child.objective) == ((0, 1), -1)
+
+    def test_witness_rejects_a_basis_that_does_not_price_out(self, monkeypatch):
+        # a dual simplex that only flips x2 (reduced cost 1 at its lower
+        # bound) to its upper bound ends dual infeasible
+        (a, b, lower, upper, c), (lo, up), _ = WARM_PINNED["ratio_tie"]
+        parent = lp_solve_exact(a, b, lower, upper, c)
+
+        def broken(sx):
+            sx.at_upper[2] = True
+            return True
+
+        monkeypatch.setattr(_BoundedSimplex, "dual_iterate", broken)
+        with pytest.raises(SolverError, match="price"):
+            lp_solve_exact(a, b, lo, up, c, start=parent)
 
 
 def _solve_in_fresh_process(args):

@@ -71,8 +71,8 @@ class TestIlpSolve:
         # the root LP is fractional (x = 3/2); both children are infeasible
         counts = []
 
-        def counting(*args):
-            res = lp_solve_exact(*args)
+        def counting(*args, **kwargs):
+            res = lp_solve_exact(*args, **kwargs)
             counts.append((res.status, res.stats.pivots))
             return res
 
@@ -81,6 +81,21 @@ class TestIlpSolve:
         assert res.status == "infeasible"
         assert [st for st, _ in counts] == ["optimal", "infeasible", "infeasible"]
         assert res.stats.pivots == sum(p for _, p in counts) > 0
+
+    def test_children_start_from_their_parent(self, monkeypatch):
+        # the root LP is x = 3/2; both children warm-start from its result
+        calls = []
+
+        def recording(*args, **kwargs):
+            res = lp_solve_exact(*args, **kwargs)
+            calls.append((kwargs.get("start"), res))
+            return res
+
+        monkeypatch.setattr("tdmilp.solver.lp_solve_exact", recording)
+        ilp_solve(pure_ilp(Matrix([[2]]), (3,), (0,), (0,), (2,)))
+        (root_start, root), *children = calls
+        assert root_start is None and len(children) == 2
+        assert all(start is root for start, _ in children)
 
     def test_against_box_enumeration(self):
         rng = random.Random(7)
@@ -107,17 +122,17 @@ class TestIlpSolve:
 BNB_PINNED = {
     "bnb_3": ((((-1, 0, 3, 0, 3, 0, 2), (1, 0, 0, 0, 0, 0, 3), (0, -2, 1, 3, -3, -3, -1)),
                (-13, -1, 0), (4, -3, -2, 0, 1, -2, 0), 6, 2),
-              ("optimal", (2, 0, -1, 0, -2, 2, -2), 22, 190, 0)),
+              ("optimal", (2, 0, -1, 0, -2, 2, -2), 22, 39, 0)),
     "bnb_4": ((((1, -1, -2, 1, -2, 1, 2, 3), (-1, 0, -2, 2, 2, -3, 3, -1),
                 (3, 1, 3, -2, 1, 0, -1, 0)),
                (-9, 2, 2), (-6, -6, -9, 1, 1, -3, -3, 4), 6, 11),
-              ("optimal", (0, 1, 1, 2, 2, 2, 0, -22), 98, 870, 0)),
+              ("optimal", (0, 1, 1, 2, 2, 2, 0, -22), 98, 139, 0)),
     "bnb_7": ((((0, -2, 1, 1, -3, -3), (1, 0, -3, -3, 0, -3)),
                (-13, 7), (6, 1, 9, -6, 7, 2), 5, 3),
-              ("optimal", (-2, 2, -2, -1, 2, 0), 5, 30, 0)),
+              ("optimal", (-2, 2, -2, -1, 2, 0), 5, 11, 0)),
     "bnb_8": ((((-2, 2, 1, 1, -3, -1), (0, -3, 1, 3, 1, 2), (-1, -1, 0, 3, -1, -2)),
                (9, -4, 2), (0, 2, -2, -5, 9, -2), 5, 1),
-              ("optimal", (-2, 2, -2, 1, -1, 1), 39, 320, 0)),
+              ("optimal", (-2, 2, -2, 1, -1, 1), 39, 56, 0)),
 }
 
 
@@ -226,9 +241,9 @@ class TestScaleWitness:
         # with z=1 column 0 is integer and goes first
         bounds = []
 
-        def recording(a, b, lower, upper, c):
+        def recording(a, b, lower, upper, c, **kwargs):
             bounds.append((lower, upper))
-            return lp_solve_exact(a, b, lower, upper, c)
+            return lp_solve_exact(a, b, lower, upper, c, **kwargs)
 
         monkeypatch.setattr("tdmilp.solver.lp_solve_exact", recording)
         res = ilp_solve(pure_ilp(Matrix([[4, 0], [0, 2]]), (1, 1), (0, 0), (0, 0), (1, 1)), z=z)
