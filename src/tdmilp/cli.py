@@ -17,7 +17,7 @@ from .fileformat import ParseError, ParsedInstance, parse_instance, serialize_in
 from .fracbound import CapExceededError as CertCapError
 from .fracbound import frac_bound, structured_inverse
 from .families import (DESCRIPTOR_FAMILIES, MATRIX_FAMILIES, FamilySpec,
-                       MipDescriptor, generate, verify_family)
+                       MipDescriptor, generate, reduce_ilp_to_milp, verify_family)
 from .integralize import FeasibilityError, IlpInstance
 from .linalg import LinalgError, Matrix, fractionality, mat_inverse, parse_matrix
 from .simplex import SolverError
@@ -119,7 +119,7 @@ def _spec_from_args(args) -> FamilySpec:
                       seed=args.seed, magnitude=args.magnitude)
 
 
-def _print_generated(gen, fmt: str) -> None:
+def _print_generated(gen) -> None:
     if isinstance(gen, Matrix):
         print(gen.to_text())
         return
@@ -141,7 +141,7 @@ def _print_generated(gen, fmt: str) -> None:
 
 def _cmd_gen(args) -> int:
     gen = generate(_spec_from_args(args))
-    _print_generated(gen, args.format)
+    _print_generated(gen)
     return EXIT_OK
 
 
@@ -152,7 +152,6 @@ def _cmd_reduce(args) -> int:
         raise ParseError("reduce expects a pure ILP (no continuous variables)", 1)
     ilp = IlpInstance(a_int=inst.a_int, a_frac=inst.a_frac, b=inst.b, c=inst.c,
                       lower=inst.lower, upper=inst.upper)
-    from .families import reduce_ilp_to_milp
     reduced = reduce_ilp_to_milp(ilp)
     out = ParsedInstance(instance=reduced, to_original=tuple(range(2 * ilp.z)))
     sys.stdout.write(serialize_instance(out))

@@ -2,11 +2,13 @@
 
 Both operations follow the same recursion over the block structure of a
 matrix with a bounded-treedepth column interaction graph.  The structured
-inverse peels an invertible matrix apart block by block: a peel records
-``t = B1^-1*X``, ``u = U`` and the scaling beta of its Schur complement, and one
-block formula assembles every split.  The certificate runs the same recursion
-on bounds alone and yields an integer that dominates the largest inverse
-denominator over all invertible column submatrices.
+inverse peels an invertible matrix apart block by block: a peel keeps
+``B1^-1`` and records ``t = B1^-1*X``, ``u = U`` and the scaling beta of its
+Schur complement, and the chain of peels ends at the last block, which is
+inverted with the border by the same recursion.  One block formula assembles
+every split and peel.  The certificate runs the same recursion on bounds
+alone and yields an integer that dominates the largest inverse denominator
+over all invertible column submatrices.
 """
 
 from __future__ import annotations
@@ -100,27 +102,29 @@ def _block_inverse(a_inv: Matrix, t: Matrix, u: Matrix, s_inv: Matrix) -> Matrix
 
 @dataclass(frozen=True)
 class PeelStep:
-    """One peel of the permuted matrix ``[[B1, X], [U, D]]``: B1 is the strict
-    block on its invertible column set.
+    """One peel of the column-permuted matrix ``[[B1, X], [U, D]]``: B1 is the
+    first strict block's rows on an invertible set of its candidate columns,
+    and ``[U, D]`` holds the rows of the blocks still to peel.
 
-    Records ``t = B1^-1*X`` (its nonzero leading columns), ``u = U`` and beta,
-    the lcm of the denominators of the Schur complement ``S = D - u*t``; rest
-    inverts ``beta*S``, so ``S^-1 = beta * rest.replay()``.
+    Keeps B1's trace and ``b1_inv = B1^-1``, so a replay inverts nothing of B1
+    again, and records ``t = B1^-1*X`` (its nonzero leading columns),
+    ``u = U`` and beta, the lcm of the denominators of the Schur complement
+    ``S = D - u*t``; rest inverts ``beta*S``, so ``S^-1 = beta * rest.replay()``.
+    The chain of peels ends at the last block, so rest is never empty.
     """
 
-    row_perm: tuple[int, ...]
     col_perm: tuple[int, ...]
     m1: int
     b1: "InverseTrace"
+    b1_inv: Matrix
     t: Matrix
     u: Matrix
     beta: int
-    rest: Union["PeelStep", BaseTrace]
+    rest: "InverseTrace"
 
     def replay(self) -> Matrix:
-        inv = _block_inverse(self.b1.replay(), self.t, self.u,
-                             self.beta * self.rest.replay())
-        return _unpermute(inv, self.row_perm, self.col_perm)
+        inv = _block_inverse(self.b1_inv, self.t, self.u, self.beta * self.rest.replay())
+        return _unpermute(inv, range(inv.rows), self.col_perm)
 
 
 @dataclass(frozen=True)
@@ -134,7 +138,7 @@ class SplitTrace:
     row_perm: tuple[int, ...]
     col_perm: tuple[int, ...]
     q1_size: int
-    q1: Union[PeelStep, BaseTrace]
+    q1: "InverseTrace"
     q2_parts: tuple["InverseTrace", ...]
     lower_left: Matrix
 
@@ -172,40 +176,36 @@ def _greedy_invertible_columns(strip: Matrix) -> list[int]:
     return chosen
 
 
-def _invert_q1(q: Matrix, border: list[int],
-               blocks: list[tuple[list[int], list[int], TdDecomposition]]
-               ) -> Union[PeelStep, BaseTrace]:
-    """Peel the strict blocks of q one at a time.
+def _invert_q1(q: Matrix, w: int, blocks: list[tuple[int, TdDecomposition]]) -> InverseTrace:
+    """Peel the strict blocks of q off one at a time, ending at the last.
 
-    border and blocks hold column/row positions local to q; every block's rows
-    are zero outside border + its own columns, an invariant maintained across
-    peels because only leftover columns are ever modified.
+    q's columns are a border of width w, then each block's columns; its rows
+    are each block's rows, in the same block order.  A block is its row count
+    and its decomposition.  Every block's rows are zero outside the border and
+    its own columns, an invariant kept across peels because only leftover
+    border columns are ever modified.  The last block with the border is all
+    of q, which the recursion inverts on the border-extended decomposition.
     """
-    if not blocks:
-        return BaseTrace(q)
+    m1, f1 = blocks[0]
+    hat = graft_path_above(f1, w)
+    if len(blocks) == 1:
+        return _structured(q, hat)
 
-    rows1, cols1, f1 = blocks[0]
-    m1 = len(rows1)
-    cand_cols = border + cols1
-    strip = q.submatrix(rows1, cand_cols)
-    chosen_rel = _greedy_invertible_columns(strip)
-    chosen = [cand_cols[i] for i in chosen_rel]
+    n = w + f1.vertex_count
+    strip = q.submatrix(range(m1), range(n))
+    chosen = _greedy_invertible_columns(strip)
+    b1_trace = _structured(strip.submatrix(range(m1), chosen),
+                           restrict_decomposition(hat, chosen))
+    b1_inv = b1_trace.replay()
 
-    hat = graft_path_above(f1, len(border))
-    b1 = strip.submatrix(range(m1), chosen_rel)
-    b1_trace = _structured(b1, restrict_decomposition(hat, chosen_rel))
-
-    rest_cand = [c for c in cand_cols if c not in set(chosen)]
-    other_cols = [c for _, cs, _ in blocks[1:] for c in cs]
-    other_rows = [r for rs, _, _ in blocks[1:] for r in rs]
-    col_perm = chosen + rest_cand + other_cols
-    row_perm = rows1 + other_rows
-    qp = q.submatrix(row_perm, col_perm)
+    taken = set(chosen)
+    col_perm = chosen + [c for c in range(n) if c not in taken] + list(range(n, q.cols))
     s = q.rows
+    qp = q.submatrix(range(s), col_perm)
 
     # the strip is zero past the leftover candidates, and so is t
-    n1 = len(rest_cand)
-    t = b1_trace.replay() * qp.submatrix(range(m1), range(m1, m1 + n1))
+    n1 = n - m1
+    t = b1_inv * qp.submatrix(range(m1), range(m1, n))
     u = qp.submatrix(range(m1, s), range(m1))
     ut = u * t
     schur = []
@@ -215,18 +215,9 @@ def _invert_q1(q: Matrix, border: list[int],
     beta = math.lcm(*(x.denominator for row in schur for x in row))
     q1p = Matrix([[beta * x for x in row] for row in schur], cols=s - m1)
 
-    # positions in the peeled matrix: leftover candidate columns become border
-    new_border = list(range(n1))
-    new_blocks = []
-    c0 = n1
-    r0 = 0
-    for rs, cs, fdec in blocks[1:]:
-        new_blocks.append((list(range(r0, r0 + len(rs))),
-                           list(range(c0, c0 + len(cs))), fdec))
-        r0 += len(rs)
-        c0 += len(cs)
-    rest_trace = _invert_q1(q1p, new_border, new_blocks)
-    return PeelStep(tuple(row_perm), tuple(col_perm), m1, b1_trace, t, u, beta, rest_trace)
+    # the leftover candidate columns are the border of the peeled matrix
+    rest_trace = _invert_q1(q1p, n1, blocks[1:])
+    return PeelStep(tuple(col_perm), m1, b1_trace, b1_inv, t, u, beta, rest_trace)
 
 
 def _structured(a: Matrix, f: TdDecomposition) -> InverseTrace:
@@ -266,18 +257,8 @@ def _structured(a: Matrix, f: TdDecomposition) -> InverseTrace:
     if len(q1_rows) != len(q1_cols):
         raise SingularMatrixError("unbalanced border split")
 
-    q1_matrix = a.submatrix(q1_rows, q1_cols)
-    border_local = list(range(bs.k1))
-    blocks_local = []
-    c0 = bs.k1
-    r0 = 0
-    for b in strict:
-        blocks_local.append((list(range(r0, r0 + b.diagonal.rows)),
-                             list(range(c0, c0 + b.diagonal.cols)),
-                             b.decomposition))
-        r0 += b.diagonal.rows
-        c0 += b.diagonal.cols
-    q1_trace = _invert_q1(q1_matrix, border_local, blocks_local)
+    q1_trace = _invert_q1(a.submatrix(q1_rows, q1_cols), bs.k1,
+                          [(b.diagonal.rows, b.decomposition) for b in strict])
     q2_parts = tuple(_structured(b.diagonal, b.decomposition) for b in square)
     return SplitTrace(tuple(q1_rows + q2_rows), tuple(q1_cols + q2_cols),
                       len(q1_cols), q1_trace, q2_parts,

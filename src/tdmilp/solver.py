@@ -79,18 +79,20 @@ def vertex_enumerate(a: Matrix, b: Sequence, lower: Sequence, upper: Sequence,
 
 
 def _most_fractional(x: Sequence[Fraction], cols: range) -> Optional[int]:
-    """Index in cols whose value is farthest from integral; ties to the lowest."""
+    """Index in cols whose value is farthest from integral; ties to the lowest.
+
+    A value p/q lies |2*(p mod q) - q| / (2q) from the nearest half, so keys
+    are compared by cross-multiplying those integers.
+    """
     best = None
-    best_key = None
+    best_num, best_den = 0, 1
     for j in cols:
-        v = x[j]
-        if v.denominator == 1:
+        p, q = x[j].numerator, x[j].denominator
+        if q == 1:
             continue
-        frac = v - (v.numerator // v.denominator)
-        key = abs(frac - Fraction(1, 2))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = j
+        num = abs(2 * (p % q) - q)
+        if best is None or num * best_den < best_num * q:
+            best, best_num, best_den = j, num, q
     return best
 
 
@@ -295,12 +297,12 @@ def milp_solve(inst: MilpInstance,
     """Solve a mixed instance by scaling it onto the integer grid.
 
     Stages: analyse both interaction graphs and pick the shallower side;
-    obtain a scale (for a fractionality certificate M of at most M_CAP,
-    gcd(lcm(1..M), determinant scale), or lcm(1..M) alone when the
-    determinant scale passes BASIS_CAP; otherwise the determinant scale, the
-    lcm of the continuous part's basis determinants); solve the scaled pure
-    ILP by integer-first branch and bound; recover and validate the mixed
-    optimum.
+    obtain a scale (1 for a pure ILP; for a fractionality certificate M of
+    at most M_CAP, gcd(lcm(1..M), determinant scale), or lcm(1..M) alone
+    when the determinant scale passes BASIS_CAP; otherwise the determinant
+    scale, the lcm of the continuous part's basis determinants); solve the
+    scaled pure ILP by integer-first branch and bound; recover and validate
+    the mixed optimum.
 
     Both scales are sound, so by Cramer's rule a node whose integer columns
     are integral is a vertex with integral continuous columns too.  A branch
@@ -318,15 +320,9 @@ def milp_solve(inst: MilpInstance,
     report.side = side
 
     if inst.q == 0:
+        scale = 1
         report.m_source = "trivial"
-        res = ilp_solve(IlpInstance(a_int=inst.a_int, a_frac=inst.a_frac, b=inst.b,
-                                    c=inst.c, lower=inst.lower, upper=inst.upper),
-                        z=inst.z)
-        report.ilp_nodes = res.stats.nodes
-        report.scaled_objective = res.objective
-        return res, report
-
-    if options.scale_override is not None:
+    elif options.scale_override is not None:
         scale = options.scale_override
         report.m_source = "override"
         report.m_value = scale

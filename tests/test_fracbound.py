@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdmilp.families import FamilySpec, generate
-from tdmilp.fracbound import (CapExceededError, PeelStep, SplitTrace,
-                              frac_bound, frac_bound_special, structured_inverse)
+from tdmilp import fracbound
+from tdmilp.fracbound import (BaseTrace, CapExceededError, ForestTrace, PeelStep,
+                              SplitTrace, frac_bound, frac_bound_special,
+                              structured_inverse)
 from tdmilp.linalg import (Matrix, SingularMatrixError, fractionality, mat_det,
                            mat_inverse)
 from tdmilp.structure import TdDecomposition, decomposition_for_matrix
@@ -28,29 +30,45 @@ def invertible_random_td(seed, n, t=4, magnitude=3):
     return a
 
 
+SPARSE_ENTRIES = (0, 0, 0, 0, 0, -2, -1, 1, 2)
+
+
+def invertible_sparse(seed):
+    rng = random.Random(seed)
+    n = rng.randint(4, 8)
+    while True:
+        a = Matrix([[rng.choice(SPARSE_ENTRIES) for _ in range(n)] for _ in range(n)])
+        if mat_det(a) != 0:
+            return a
+
+
 @st.composite
 def sparse_square(draw):
     n = draw(st.integers(3, 7))
-    entries = draw(st.lists(st.sampled_from((0, 0, 0, 0, 0, -2, -1, 1, 2)),
+    entries = draw(st.lists(st.sampled_from(SPARSE_ENTRIES),
                             min_size=n * n, max_size=n * n))
     return Matrix([entries[i * n:(i + 1) * n] for i in range(n)])
 
 
-def collect_peels(trace):
+def trace_nodes(trace):
     out = []
     stack = [trace.root]
     while stack:
         node = stack.pop()
+        out.append(node)
         if isinstance(node, PeelStep):
-            out.append(node)
             stack.append(node.rest)
             stack.append(node.b1)
         elif isinstance(node, SplitTrace):
             stack.append(node.q1)
             stack.extend(node.q2_parts)
-        elif hasattr(node, "parts"):
+        elif isinstance(node, ForestTrace):
             stack.extend(node.parts)
     return out
+
+
+def collect_peels(trace):
+    return [node for node in trace_nodes(trace) if isinstance(node, PeelStep)]
 
 
 class TestStructuredInverse:
@@ -87,24 +105,51 @@ class TestStructuredInverse:
 
     def test_beta_divides_block_inverse_cap(self):
         # every recorded scaling divides the lcm of its block-inverse
-        # denominators, so it is bounded by fr(b1)^(m1^2)
-        found = 0
+        # denominators, so it is bounded by fr(b1)^(m1^2); sparse matrices
+        # reach peels with a nonempty Schur complement, the structured
+        # generators above never do
+        peels = scaled = 0
+        for seed in range(60):
+            a = invertible_sparse(seed)
+            for mode in ("exact", "heuristic"):
+                f = decomposition_for_matrix(a, "primal", mode)
+                _, trace = structured_inverse(a, f)
+                for peel in collect_peels(trace):
+                    assert peel.b1_inv == peel.b1.replay()
+                    dens = math.lcm(*(x.denominator for x in peel.b1_inv.entries()))
+                    assert dens % peel.beta == 0
+                    fr_b1 = fractionality(peel.b1_inv)
+                    assert peel.beta <= fr_b1 ** (peel.m1 ** 2)
+                    peels += 1
+                    scaled += peel.beta > 1
+        assert peels > 0 and scaled > 0
+
+    def test_each_base_block_inverted_once(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return mat_inverse(m)
+
+        monkeypatch.setattr(fracbound, "mat_inverse", counted)
         for seed in range(40):
-            a = invertible_random_td(seed, 6)
-            f = decomposition_for_matrix(a, "primal", "heuristic")
-            _, trace = structured_inverse(a, f)
-            for peel in collect_peels(trace):
-                fr_b1 = fractionality(peel.b1.replay())
-                assert peel.beta <= fr_b1 ** (peel.m1 ** 2)
-                found += 1
-        assert found > 0
+            for a in (invertible_random_td(seed, 3 + seed % 6), invertible_sparse(seed)):
+                for mode in ("exact", "heuristic"):
+                    f = decomposition_for_matrix(a, "primal", mode)
+                    calls.clear()
+                    _, trace = structured_inverse(a, f)
+                    nodes = trace_nodes(trace)
+                    assert len(calls) == sum(isinstance(n, BaseTrace) for n in nodes)
+                    # a peel's rest inverts its Schur complement, of u.rows rows
+                    assert all(n.u.rows > 0 for n in nodes if isinstance(n, PeelStep))
 
     @pytest.mark.parametrize("mode", ["exact", "heuristic"])
     @settings(max_examples=250, deadline=None)
     @given(a=sparse_square())
     def test_matches_direct_inverse_on_sparse(self, mode, a):
-        # sparse matrices reach peels whose row and column permutations are
-        # not the identity, which the structured generators above never do
+        # sparse matrices reach peels whose column permutations are not the
+        # identity, which the structured generators above never do (a peel
+        # never permutes rows)
         f = decomposition_for_matrix(a, "primal", mode)
         if mat_det(a) == 0:
             with pytest.raises(SingularMatrixError):

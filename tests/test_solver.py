@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdmilp.integralize import MilpInstance, choose_scale, integralize, pure_ilp
 from tdmilp.linalg import Matrix
 from tdmilp.simplex import SolverError, lp_solve_exact
-from tdmilp.solver import (PipelineOptions, PipelineReport, _determinant_scale, choose_side,
-                           ilp_solve, milp_oracle, milp_solve, vertex_enumerate)
+from tdmilp.solver import (PipelineOptions, PipelineReport, _determinant_scale,
+                           _most_fractional, choose_side, ilp_solve, milp_oracle, milp_solve,
+                           vertex_enumerate)
 from tdmilp.structure import CapExceededError
 from instances import (dense_continuous, dense_continuous_exact, nfold_one_integer,
                        wide_certificate)
@@ -114,6 +116,19 @@ class TestIlpSolve:
             assert res.status == status
             if status == "optimal":
                 assert res.objective == best
+
+
+class TestMostFractional:
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.lists(st.fractions(max_denominator=50), max_size=8), data=st.data())
+    def test_matches_the_fraction_key(self, x, data):
+        start = data.draw(st.integers(0, len(x)))
+        stop = data.draw(st.integers(start, len(x)))
+        cols = range(start, stop)
+        # distance of the fractional part from 1/2, lowest index on ties
+        keys = [(abs(v - v.numerator // v.denominator - Fraction(1, 2)), j)
+                for j, v in zip(cols, x[start:stop]) if v.denominator != 1]
+        assert _most_fractional(x, cols) == (min(keys)[1] if keys else None)
 
 
 # mixed_bnb benchmark corpus problems 3, 4, 7 and 8 (boxes [-2, 2]): rows, b,
@@ -273,8 +288,11 @@ class TestPipeline:
     def test_pure_ilp_matches_ilp_solve(self):
         inst = pure_ilp(Matrix([[1, 1]]), (3,), (1, 1), (0, 0), (2, 2))
         res, report = milp_solve(inst)
-        assert res.objective == ilp_solve(inst).objective
+        direct = ilp_solve(inst)
+        assert (res.x, res.objective) == (direct.x, direct.objective)
         assert report.m_source == "trivial" and report.scale == 1
+        _, report = milp_solve(inst, PipelineOptions(scale_override=3))
+        assert report.m_source == "trivial" and report.scale == 1  # no grid to override
 
     def test_single_continuous_example(self):
         inst = MilpInstance(a_int=Matrix([[]], cols=0), a_frac=Matrix([[2]]),
