@@ -13,7 +13,7 @@ from tdmilp import (CapExceededError, FamilySpec, frac_bound,
 
 # invert through the block structure instead of plain elimination; the result
 # is identical, and the trace is replayable: each peel records t, u and beta,
-# and one block formula assembles every split
+# and each split writes its blocks' inverses straight into the result
 a = Matrix([
     [1, 2, 0],
     [1, 0, 3],

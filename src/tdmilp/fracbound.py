@@ -2,24 +2,27 @@
 
 Both operations follow the same recursion over the block structure of a
 matrix with a bounded-treedepth column interaction graph.  The structured
-inverse peels an invertible matrix apart block by block: a peel keeps
-``B1^-1`` and records ``t = B1^-1*X``, ``u = U`` and the scaling beta of its
-Schur complement, and the chain of peels ends at the last block, which is
-inverted with the border by the same recursion.  One block formula assembles
-every split and peel.  The certificate runs the same recursion on bounds
-alone and yields an integer that dominates the largest inverse denominator
-over all invertible column submatrices.
+inverse splits an invertible matrix into the strict blocks with the border
+(Q1) and the square blocks, which meet Q1 only in the border columns; a
+forest is a split with an empty Q1.  Q1 is peeled apart block by block: a
+peel keeps ``B1^-1`` and records ``t = B1^-1*X``, ``u = U`` and the scaling
+beta of its Schur complement, and the chain of peels ends at the last block,
+which is inverted with the border by the same recursion.  Each node of the
+trace writes the inverses of its parts straight into the result at their
+original rows and columns.  The certificate runs the same recursion on
+bounds alone and yields an integer that dominates the largest inverse
+denominator over all invertible column submatrices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .blocks import graft_path_above, primal_decompose, split_forest
-from .linalg import (Matrix, SingularMatrixError, block_diagonal, forward_eliminate,
-                     mat_inverse)
+from .linalg import Matrix, SingularMatrixError, forward_eliminate, mat_inverse
 from .structure import CapExceededError as _BaseCapError
 from .structure import (StructureError, TdDecomposition, TdStats, primal_graph,
                         restrict_decomposition, td_stats, validate_td)
@@ -44,20 +47,22 @@ class CapExceededError(_BaseCapError):
 # structured inverse
 # ---------------------------------------------------------------------------
 
-def _unpermute(m: Matrix, row_perm: Sequence[int], col_perm: Sequence[int]) -> Matrix:
-    """Undo ``perm = a.submatrix(row_perm, col_perm)`` on perm's inverse.
+_ZERO = Fraction(0)
 
-    Row ``col_perm[k]`` of the result is row k of m, with its entries moved to
-    columns ``row_perm``.
+
+def _assemble(n: int, pieces: Sequence[tuple[Sequence[int], Sequence[int], Matrix]]) -> Matrix:
+    """The n x n matrix holding each ``(rows, cols, m)`` of pieces, entry (k, l)
+    of m at row ``rows[k]`` and column ``cols[l]``, and zeros elsewhere.
+
+    An inverse of ``a.submatrix(rows, cols)`` is placed at ``(cols, rows)``.
     """
-    src = [0] * len(row_perm)
-    for k, j in enumerate(row_perm):
-        src[j] = k
-    out: list = [None] * len(col_perm)
-    for k, i in enumerate(col_perm):
-        row = m.row(k)
-        out[i] = [row[c] for c in src]
-    return Matrix(out, cols=len(row_perm))
+    out = [[_ZERO] * n for _ in range(n)]
+    for rows, cols, m in pieces:
+        for k, i in enumerate(rows):
+            row = out[i]
+            for j, x in zip(cols, m.row(k)):
+                row[j] = x
+    return Matrix(out, cols=n)
 
 
 @dataclass(frozen=True)
@@ -68,19 +73,6 @@ class BaseTrace:
 
     def replay(self) -> Matrix:
         return mat_inverse(self.matrix)
-
-
-@dataclass(frozen=True)
-class ForestTrace:
-    """Block-diagonal split over the trees of a forest decomposition."""
-
-    row_perm: tuple[int, ...]
-    col_perm: tuple[int, ...]
-    parts: tuple["InverseTrace", ...]
-
-    def replay(self) -> Matrix:
-        return _unpermute(block_diagonal([p.replay() for p in self.parts]),
-                          self.row_perm, self.col_perm)
 
 
 def _block_inverse(a_inv: Matrix, t: Matrix, u: Matrix, s_inv: Matrix) -> Matrix:
@@ -110,7 +102,8 @@ class PeelStep:
     again, and records ``t = B1^-1*X`` (its nonzero leading columns),
     ``u = U`` and beta, the lcm of the denominators of the Schur complement
     ``S = D - u*t``; rest inverts ``beta*S``, so ``S^-1 = beta * rest.replay()``.
-    The chain of peels ends at the last block, so rest is never empty.
+    The chain of peels ends at the last block, so rest is never empty.  The
+    block inverse of the permuted matrix is placed back by col_perm.
     """
 
     col_perm: tuple[int, ...]
@@ -124,32 +117,49 @@ class PeelStep:
 
     def replay(self) -> Matrix:
         inv = _block_inverse(self.b1_inv, self.t, self.u, self.beta * self.rest.replay())
-        return _unpermute(inv, range(inv.rows), self.col_perm)
+        return _assemble(inv.rows, [(self.col_perm, range(inv.rows), inv)])
 
 
 @dataclass(frozen=True)
 class SplitTrace:
-    """Border split: strict blocks (with the border) left, square blocks right.
+    """A matrix that is ``[[Q1, 0], [L, diag(Q2_i)]]`` up to permutation.
 
-    The permuted matrix is ``[[q1, 0], [lower_left, Q2]]`` with Q2 the block
-    diagonal of q2_parts, so it replays as a peel with zero t.
+    Q1 is the strict blocks with the border, on rows q1_rows and columns
+    q1_cols, border first; q1 inverts it.  Each of parts is the rows, columns
+    and trace of one square block Q2_i.  L is zero outside the border, so
+    lower_left keeps only the border columns of the parts' rows, in part
+    order.  The inverse is ``[[Q1^-1, 0], [-Q2_i^-1*L_i*Q1^-1, Q2_i^-1]]``,
+    and ``L_i*Q1^-1`` reads only the border rows of ``Q1^-1``.  A forest is
+    a split with an empty Q1: q1 is None, and the parts are its trees.
     """
 
-    row_perm: tuple[int, ...]
-    col_perm: tuple[int, ...]
-    q1_size: int
-    q1: "InverseTrace"
-    q2_parts: tuple["InverseTrace", ...]
+    q1_rows: tuple[int, ...]
+    q1_cols: tuple[int, ...]
+    q1: Optional["InverseTrace"]
+    parts: tuple[tuple[tuple[int, ...], tuple[int, ...], "InverseTrace"], ...]
     lower_left: Matrix
 
     def replay(self) -> Matrix:
-        q2_inv = block_diagonal([p.replay() for p in self.q2_parts])
-        inv = _block_inverse(self.q1.replay(), Matrix.zeros(self.q1_size, 0),
-                             self.lower_left, q2_inv)
-        return _unpermute(inv, self.row_perm, self.col_perm)
+        pieces = []
+        if self.q1 is not None:
+            q1_inv = self.q1.replay()
+            pieces.append((self.q1_cols, self.q1_rows, q1_inv))
+            # -L*Q1^-1, from the border rows of Q1^-1 alone
+            lq = -self.lower_left * q1_inv.submatrix(range(self.lower_left.cols),
+                                                     range(q1_inv.cols))
+        r0 = 0
+        for rows, cols, part in self.parts:
+            inv = part.replay()
+            pieces.append((cols, rows, inv))
+            if self.q1 is not None:
+                r1 = r0 + len(rows)
+                pieces.append((cols, self.q1_rows,
+                               inv * lq.submatrix(range(r0, r1), range(lq.cols))))
+                r0 = r1
+        return _assemble(self.lower_left.rows + len(self.q1_rows), pieces)
 
 
-InverseTrace = Union[BaseTrace, ForestTrace, PeelStep, SplitTrace]
+InverseTrace = Union[BaseTrace, PeelStep, SplitTrace]
 
 
 @dataclass(frozen=True)
@@ -228,7 +238,7 @@ def _structured(a: Matrix, f: TdDecomposition) -> InverseTrace:
 
     if len(f.roots) > 1:
         # forest: columns of different trees never share a row, so the matrix
-        # is block diagonal up to permutation
+        # is block diagonal up to permutation, a split with an empty Q1
         split = split_forest(a, f)
         if sum(len(rows) for rows, _, _, _ in split) != a.rows:
             raise SingularMatrixError("zero row")
@@ -236,10 +246,8 @@ def _structured(a: Matrix, f: TdDecomposition) -> InverseTrace:
         for rows, cols, sub, f_sub in split:
             if len(cols) != len(rows):
                 raise SingularMatrixError("non-square component block")
-            parts.append(_structured(sub, f_sub))
-        row_perm = tuple(i for rows, _, _, _ in split for i in rows)
-        col_perm = tuple(j for _, cols, _, _ in split for j in cols)
-        return ForestTrace(row_perm, col_perm, tuple(parts))
+            parts.append((tuple(rows), tuple(cols), _structured(sub, f_sub)))
+        return SplitTrace((), (), None, tuple(parts), a.submatrix(range(a.rows), ()))
 
     if td_stats(f).topological_height <= 1:
         return BaseTrace(a)
@@ -253,16 +261,15 @@ def _structured(a: Matrix, f: TdDecomposition) -> InverseTrace:
     q1_rows = [i for b in strict for i in b.row_ids]
     q1_cols = list(bs.border_cols) + [j for b in strict for j in b.col_ids]
     q2_rows = [i for b in square for i in b.row_ids]
-    q2_cols = [j for b in square for j in b.col_ids]
     if len(q1_rows) != len(q1_cols):
         raise SingularMatrixError("unbalanced border split")
 
     q1_trace = _invert_q1(a.submatrix(q1_rows, q1_cols), bs.k1,
                           [(b.diagonal.rows, b.decomposition) for b in strict])
-    q2_parts = tuple(_structured(b.diagonal, b.decomposition) for b in square)
-    return SplitTrace(tuple(q1_rows + q2_rows), tuple(q1_cols + q2_cols),
-                      len(q1_cols), q1_trace, q2_parts,
-                      a.submatrix(q2_rows, q1_cols))
+    parts = tuple((b.row_ids, b.col_ids, _structured(b.diagonal, b.decomposition))
+                  for b in square)
+    return SplitTrace(tuple(q1_rows), tuple(q1_cols), q1_trace, parts,
+                      a.submatrix(q2_rows, bs.border_cols))
 
 
 def structured_inverse(a: Matrix, f: TdDecomposition) -> tuple[Matrix, StructuredInverseTrace]:

@@ -270,17 +270,3 @@ def mat_rank(m: Matrix) -> int:
 def fractionality(m: Matrix) -> int:
     """Largest denominator over all entries in lowest terms (1 if integral)."""
     return max((x.denominator for x in m.entries()), default=1)
-
-
-def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
-    """Assemble square or rectangular blocks along the diagonal."""
-    total_r = sum(b.rows for b in blocks)
-    total_c = sum(b.cols for b in blocks)
-    out = [[Fraction(0)] * total_c for _ in range(total_r)]
-    r0 = c0 = 0
-    for b in blocks:
-        for i in range(b.rows):
-            out[r0 + i][c0:c0 + b.cols] = list(b.row(i))
-        r0 += b.rows
-        c0 += b.cols
-    return Matrix(out, cols=total_c)

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdmilp.blocks import primal_decompose
 from tdmilp.families import FamilySpec, generate
 from tdmilp import fracbound
-from tdmilp.fracbound import (BaseTrace, CapExceededError, ForestTrace, PeelStep,
-                              SplitTrace, frac_bound, frac_bound_special,
-                              structured_inverse)
+from tdmilp.fracbound import (BaseTrace, CapExceededError, PeelStep, SplitTrace,
+                              frac_bound, frac_bound_special, structured_inverse)
 from tdmilp.linalg import (Matrix, SingularMatrixError, fractionality, mat_det,
                            mat_inverse)
 from tdmilp.structure import TdDecomposition, decomposition_for_matrix
@@ -31,6 +31,7 @@ def invertible_random_td(seed, n, t=4, magnitude=3):
 
 
 SPARSE_ENTRIES = (0, 0, 0, 0, 0, -2, -1, 1, 2)
+RATIONAL_ENTRIES = (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4))
 
 
 def invertible_sparse(seed):
@@ -45,12 +46,13 @@ def invertible_sparse(seed):
 @st.composite
 def sparse_square(draw):
     n = draw(st.integers(3, 7))
-    entries = draw(st.lists(st.sampled_from(SPARSE_ENTRIES),
+    entries = draw(st.lists(st.sampled_from(SPARSE_ENTRIES + RATIONAL_ENTRIES),
                             min_size=n * n, max_size=n * n))
     return Matrix([entries[i * n:(i + 1) * n] for i in range(n)])
 
 
 def trace_nodes(trace):
+    """Every node of the trace in the order the recursion built them."""
     out = []
     stack = [trace.root]
     while stack:
@@ -60,11 +62,14 @@ def trace_nodes(trace):
             stack.append(node.rest)
             stack.append(node.b1)
         elif isinstance(node, SplitTrace):
-            stack.append(node.q1)
-            stack.extend(node.q2_parts)
-        elif isinstance(node, ForestTrace):
-            stack.extend(node.parts)
+            stack.extend(part for _, _, part in reversed(node.parts))
+            if node.q1 is not None:
+                stack.append(node.q1)
     return out
+
+
+def splits_with_q1(trace):
+    return [n for n in trace_nodes(trace) if isinstance(n, SplitTrace) and n.q1 is not None]
 
 
 def collect_peels(trace):
@@ -94,6 +99,60 @@ class TestStructuredInverse:
         assert inv == mat_inverse(a)
         peels = collect_peels(trace)
         assert len(peels) <= 1  # border width 1 allows at most one peel
+
+    def test_split_with_two_square_blocks(self):
+        # border column 0, a strict block on column 2 (rows 1 and 3) and two
+        # square blocks, columns 1 and 3, whose rows both touch the border
+        a = Matrix([[1, 2, 0, 0],
+                    [1, 0, 1, 0],
+                    [2, 0, 0, 3],
+                    [3, 0, 1, 0]])
+        inv, trace = structured_inverse(a, TdDecomposition([None, 0, 0, 0]))
+        split = trace.root
+        assert isinstance(split, SplitTrace)
+        assert (split.q1_rows, split.q1_cols) == ((1, 3), (0, 2))
+        assert split.q1 == BaseTrace(Matrix([[1, 1], [3, 1]]))
+        assert split.parts == (((0,), (1,), BaseTrace(Matrix([[2]]))),
+                               ((2,), (3,), BaseTrace(Matrix([[3]]))))
+        assert split.lower_left == Matrix([[1], [2]])
+        h = Fraction(1, 2)
+        t = Fraction(1, 3)
+        assert inv == Matrix([[0, -h, 0, h],
+                              [h, h / 2, 0, -h / 2],
+                              [0, 3 * h, 0, -h],
+                              [0, t, t, -t]])
+        assert inv == mat_inverse(a)
+
+    def test_random_structured_reach_split_with_q1_and_two_blocks(self):
+        parts = []
+        for seed in range(40):
+            a = invertible_random_td(seed, 3 + seed % 6)
+            for mode in ("exact", "heuristic"):
+                _, trace = structured_inverse(a, decomposition_for_matrix(a, "primal", mode))
+                parts += [len(s.parts) for s in splits_with_q1(trace)]
+        assert max(parts) >= 2
+
+    def test_lower_left_is_border_wide(self, monkeypatch):
+        # a square block's rows are zero outside the border, so a split keeps
+        # only the border columns of them; a forest has no border
+        borders = []
+
+        def recorded(a, f):
+            bs = primal_decompose(a, f)
+            borders.append(bs.k1)
+            return bs
+
+        monkeypatch.setattr(fracbound, "primal_decompose", recorded)
+        for seed in range(40):
+            for a in (invertible_random_td(seed, 3 + seed % 6), invertible_sparse(seed)):
+                for mode in ("exact", "heuristic"):
+                    borders.clear()
+                    _, trace = structured_inverse(a, decomposition_for_matrix(a, "primal", mode))
+                    assert [s.lower_left.cols for s in splits_with_q1(trace)] == borders
+                    for s in trace_nodes(trace):
+                        if isinstance(s, SplitTrace):
+                            assert s.lower_left.rows == sum(len(r) for r, _, _ in s.parts)
+                            assert s.q1 is not None or s.lower_left.cols == 0
 
     def test_matches_direct_inverse_on_random_structured(self):
         for seed in range(40):
@@ -149,7 +208,8 @@ class TestStructuredInverse:
     def test_matches_direct_inverse_on_sparse(self, mode, a):
         # sparse matrices reach peels whose column permutations are not the
         # identity, which the structured generators above never do (a peel
-        # never permutes rows)
+        # never permutes rows); p/q entries give rational splits, peels and
+        # scalings
         f = decomposition_for_matrix(a, "primal", mode)
         if mat_det(a) == 0:
             with pytest.raises(SingularMatrixError):
