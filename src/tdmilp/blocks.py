@@ -47,7 +47,6 @@ class BlockStructure:
 
     def reassemble(self) -> Matrix:
         """The block display matrix; equals the input permuted by the maps."""
-        from fractions import Fraction
         widths = [len(b.col_ids) for b in self.blocks]
         total_c = self.k1 + sum(widths)
         rows = []
@@ -55,8 +54,8 @@ class BlockStructure:
             before = sum(widths[:bi])
             after = sum(widths[bi + 1:])
             for i in range(blk.border.rows):
-                rows.append(list(blk.border.row(i)) + [Fraction(0)] * before
-                            + list(blk.diagonal.row(i)) + [Fraction(0)] * after)
+                rows.append(list(blk.border.row(i)) + [0] * before
+                            + list(blk.diagonal.row(i)) + [0] * after)
         return Matrix(rows, cols=total_c)
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .blocks import graft_path_above, primal_decompose, split_forest
@@ -47,16 +46,13 @@ class CapExceededError(_BaseCapError):
 # structured inverse
 # ---------------------------------------------------------------------------
 
-_ZERO = Fraction(0)
-
-
 def _assemble(n: int, pieces: Sequence[tuple[Sequence[int], Sequence[int], Matrix]]) -> Matrix:
     """The n x n matrix holding each ``(rows, cols, m)`` of pieces, entry (k, l)
     of m at row ``rows[k]`` and column ``cols[l]``, and zeros elsewhere.
 
     An inverse of ``a.submatrix(rows, cols)`` is placed at ``(cols, rows)``.
     """
-    out = [[_ZERO] * n for _ in range(n)]
+    out = [[0] * n for _ in range(n)]
     for rows, cols, m in pieces:
         for k, i in enumerate(rows):
             row = out[i]

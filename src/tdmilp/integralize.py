@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Matrix
+from .linalg import Matrix, rational
 
 
 class FeasibilityError(Exception):
@@ -27,10 +27,12 @@ class FeasibilityError(Exception):
 def _int_vector(values: Sequence[int | Fraction], name: str) -> tuple[int, ...]:
     out = []
     for v in values:
-        f = Fraction(v)
-        if f.denominator != 1:
-            raise ValueError(f"{name} must be integral, got {v}")
-        out.append(int(f))
+        if not isinstance(v, int):
+            f = Fraction(v)
+            if f.denominator != 1:
+                raise ValueError(f"{name} must be integral, got {v}")
+            v = f.numerator
+        out.append(int(v))
     return tuple(out)
 
 
@@ -129,24 +131,32 @@ def integralize(inst: MilpInstance, scale: int) -> IlpInstance:
 
 
 def recover(z_opt: Sequence[int | Fraction], scale: int,
-            inst: MilpInstance) -> tuple[Fraction, ...]:
+            inst: MilpInstance) -> tuple[int | Fraction, ...]:
     """Map a scaled-instance solution back: divide the continuous part.
 
-    Validates feasibility against the original instance exactly; raises
-    FeasibilityError naming the violated constraint row (or bound).
+    Validates feasibility against the original instance exactly, on the
+    scaled values (ints for an ILP optimum): each row as
+    ``scale*a_int x_Z + a_frac y = scale*b`` with y the scaled continuous
+    values, then each bound, then the integrality of x_Z.  Raises
+    FeasibilityError naming the violated constraint row (or bound), with the
+    values in original units.
     """
     if len(z_opt) != inst.z + inst.q:
         raise ValueError("solution length mismatch")
-    zq = [Fraction(v) for v in z_opt]
-    x = tuple(zq[:inst.z]) + tuple(v / scale for v in zq[inst.z:])
-    lhs = inst.matrix.apply_vector(x)
-    for i, (got, want) in enumerate(zip(lhs, inst.b)):
-        if got != want:
-            raise FeasibilityError(f"constraint row {i} violated: {got} != {want}", row=i)
-    for j, v in enumerate(x):
-        if not (inst.lower[j] <= v <= inst.upper[j]):
-            raise FeasibilityError(f"bound on variable {j} violated: {v}", row=None)
-    for j in range(inst.z):
-        if x[j].denominator != 1:
+    z = inst.z
+    vals = [rational(v) for v in z_opt]
+    x = tuple(vals[:z]) + tuple(Fraction(v, scale) for v in vals[z:])
+    lhs = zip(inst.a_int.apply_vector(vals[:z]), inst.a_frac.apply_vector(vals[z:]))
+    for i, ((got_z, got_q), want) in enumerate(zip(lhs, inst.b)):
+        got = scale * got_z + got_q
+        if got != scale * want:
+            raise FeasibilityError(
+                f"constraint row {i} violated: {Fraction(got, scale)} != {want}", row=i)
+    for j, v in enumerate(vals):
+        s = 1 if j < z else scale
+        if not (s * inst.lower[j] <= v <= s * inst.upper[j]):
+            raise FeasibilityError(f"bound on variable {j} violated: {x[j]}", row=None)
+    for j in range(z):
+        if vals[j].denominator != 1:
             raise FeasibilityError(f"integer variable {j} has fractional value {x[j]}", row=None)
     return x

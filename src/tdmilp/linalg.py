@@ -1,15 +1,18 @@
 """Exact rational scalars and dense rational matrices.
 
-Scalars are stdlib ``fractions.Fraction`` values, which are always kept in
-lowest terms with a positive denominator.  Matrices are immutable, dense and
-row-major; every operation is exact, there is no floating point anywhere.
+A scalar is a Python ``int`` when it is integral and a stdlib
+``fractions.Fraction`` (lowest terms, positive denominator) otherwise, so
+integral data stays in ints.  Matrices are immutable, dense and row-major;
+every operation is exact, there is no floating point anywhere.
 Determinant, inverse and rank (and the row reduction and column basis
 elsewhere in the package) all run the one elimination kernel,
-``forward_eliminate``.
+``forward_eliminate``, which is fraction-free: it clears each row to ints
+and eliminates by Bareiss's integer-preserving steps.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -31,32 +34,36 @@ class SingularMatrixError(LinalgError):
     """A square matrix required to be invertible is singular."""
 
 
-def rational(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, Fraction or ``p/q`` string to an exact rational."""
-    if isinstance(value, Fraction):
+def rational(value: int | str | Fraction) -> int | Fraction:
+    """Coerce an int, Fraction or ``p/q`` string to an exact rational: an int
+    when the value is integral, else a Fraction."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     if isinstance(value, str):
         token = value.strip()
         if not _RATIONAL_RE.match(token):
             raise ValueError(f"not an integer or p/q rational: {value!r}")
         if "/" not in token:
-            return Fraction(int(token))
+            return int(token)
         try:
-            return Fraction(token)
+            return rational(Fraction(token))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator: {value!r}") from None
     raise TypeError(f"cannot make a rational from {type(value).__name__}")
 
 
 class Matrix:
-    """Immutable dense matrix of exact rationals."""
+    """Immutable dense matrix of exact rationals: every entry is an int or a
+    non-integral Fraction."""
 
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, data: Iterable[Iterable[int | str | Fraction]], cols: int | None = None):
-        rows = tuple(tuple(rational(x) for x in row) for row in data)
+        rows = tuple(tuple(map(rational, row)) for row in data)
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
@@ -72,12 +79,11 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        zero = Fraction(0)
-        return cls([[zero] * cols for _ in range(rows)], cols=cols)
+        return cls([[0] * cols for _ in range(rows)], cols=cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)], cols=n)
+        return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
 
     # -- shape and access ------------------------------------------------
 
@@ -159,9 +165,9 @@ class Matrix:
             raise DimensionError("vector length mismatch")
         return tuple(_dot(r, x) for r in self._data)
 
-    def max_abs(self) -> Fraction:
+    def max_abs(self) -> int | Fraction:
         """Largest absolute entry (the infinity norm on entries); 0 if empty."""
-        return max((abs(x) for x in self.entries()), default=Fraction(0))
+        return max((abs(x) for x in self.entries()), default=0)
 
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for x in self.entries())
@@ -176,8 +182,9 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> int | Fraction:
+    """Sum of the products of the pairs with no zero factor, from int 0."""
+    return sum(x * y for x, y in zip(a, b) if x and y)
 
 
 def parse_matrix(text: str) -> Matrix:
@@ -191,75 +198,107 @@ def parse_matrix(text: str) -> Matrix:
     return Matrix(rows)
 
 
-def forward_eliminate(rows: list[list[Fraction]],
+def _row_factor(row: Sequence[int | Fraction]) -> int:
+    """The lcm of the row's denominators, the least factor clearing it to ints."""
+    return math.lcm(*(x.denominator for x in row))
+
+
+def forward_eliminate(rows: list[list[int | Fraction]],
                       width: int) -> Iterator[tuple[int, Optional[int]]]:
     """The Gaussian-elimination kernel: greedy forward elimination in row order.
 
-    Works on ``rows`` in place.  Each row is reduced against the pivot rows
-    before it; its pivot is then its first nonzero entry among the first width,
-    or None when those entries are all zero (the row depends on the rows
-    before it).  Entries past width (a right-hand side, an identity block) are
-    carried along.  Yields ``(i, pivot)`` as row i is finished, so a caller
-    can stop early.
+    Works on ``rows`` in place and fraction-free.  Each row is multiplied by
+    the lcm of its denominators, which leaves an int row as it is, and is
+    then reduced against the pivot rows before it by Bareiss's step
+    ``row = (p*row - row[c]*prow) // d``, where p is prow's pivot entry, c
+    its column, and d the pivot entry of the pivot row last applied to this
+    row (1 at first); by Sylvester's identity every division is exact.  A
+    pivot row is skipped where the row is already zero at its column, and a
+    row that finishes with a pivot is multiplied by the factor those skipped
+    steps would have given it, so every pivot row holds Bareiss's minors and the last pivot
+    entry of an invertible matrix is its determinant up to the sign of the
+    column order and the row factors.  Scaling a row moves none of its zeros,
+    so the pivots are those of plain rational elimination: a row's pivot is
+    its first nonzero entry among the first width, or None when those are
+    all zero (the row depends on the rows before it).  Entries past width
+    (a right-hand side, an identity block) are carried along.  Yields
+    ``(i, pivot)`` as row i is finished, so a caller can stop early.
     """
-    pivots: list[tuple[list[Fraction], int]] = []
+    pivots: list[tuple[list[int], int]] = []
+    top = 1  # pivot entry of the last pivot row
     for i, row in enumerate(rows):
+        factor = _row_factor(row)
+        if factor != 1:
+            row = [x.numerator * (factor // x.denominator) for x in row]
+        d = 1
         for prow, c in pivots:
-            if row[c] != 0:
-                f = row[c] / prow[c]
-                row = [x - f * y if y else x for x, y in zip(row, prow)]
-        rows[i] = row
-        pivot = next((j for j in range(width) if row[j] != 0), None)
+            f = row[c]
+            if f:
+                p = prow[c]
+                row = [(p * x - f * y) // d for x, y in zip(row, prow)]
+                d = p
+        pivot = next((j for j in range(width) if row[j]), None)
         if pivot is not None:
+            if d != top:
+                row = [x * top // d for x in row]
             pivots.append((row, pivot))
+            top = row[pivot]
+        rows[i] = row
         yield i, pivot
 
 
 def mat_det(m: Matrix) -> Fraction:
-    """Exact determinant: the product of the elimination pivots, signed by the
-    parity of their column order (0 at the first dependent row)."""
+    """Exact determinant, as a Fraction: the last pivot entry of the
+    elimination over the product of the row factors, signed by the parity of
+    the pivots' column order (0 at the first dependent row)."""
     if not m.is_square():
         raise DimensionError("determinant needs a square matrix")
     a = m.row_lists()
-    det = Fraction(1)
+    factors = math.prod(_row_factor(row) for row in a)
+    last = 1
     cols: list[int] = []
     for i, pivot in forward_eliminate(a, m.cols):
         if pivot is None:
             return Fraction(0)
-        det *= a[i][pivot]
+        last = a[i][pivot]
         cols.append(pivot)
     inversions = sum(c > d for k, c in enumerate(cols) for d in cols[k + 1:])
-    return -det if inversions % 2 else det
+    return Fraction(-last if inversions % 2 else last, factors)
 
 
 def mat_inverse(m: Matrix) -> Matrix:
     """Exact inverse: forward elimination of ``(m | I)``, then back substitution.
 
+    The elimination leaves row i as an int equation ``a[i] . X = a[i][n:]``
+    in X, the inverse, and its last pivot entry p is a determinant of the
+    row-cleared m, so p*X is integral: back substitution solves for p*X in
+    ints, dividing exactly, and the entries of X are the rationals x/p.
     Raises SingularMatrixError when no inverse exists.  The returned matrix
     satisfies ``m * inverse == identity`` exactly.
     """
     if not m.is_square():
         raise DimensionError("inverse needs a square matrix")
     n = m.rows
-    a = [list(m.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    a = [list(m.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
     cols: list[int] = []
     for _, pivot in forward_eliminate(a, n):
         if pivot is None:
             raise SingularMatrixError("matrix is singular")
         cols.append(pivot)
+    p = a[-1][cols[-1]] if n else 1
     # row i reads a[i][cols[i]] * x[cols[i]] + sum_{k>i} a[i][cols[k]] * x[cols[k]]
-    # = a[i][n:], where x[j] is row j of the inverse
-    out: list[list[Fraction]] = [[] for _ in range(n)]
+    # = p * a[i][n:], where x[j] is p times row j of the inverse
+    out: list[list[int]] = [[] for _ in range(n)]
     for i in reversed(range(n)):
         row = a[i]
-        acc = row[n:]
+        acc = [p * x for x in row[n:]]
         for k in range(i + 1, n):
             f = row[cols[k]]
-            if f != 0:
-                acc = [x - f * y if y else x for x, y in zip(acc, out[cols[k]])]
+            if f:
+                acc = [x - f * y for x, y in zip(acc, out[cols[k]])]
         piv = row[cols[i]]
-        out[cols[i]] = [x / piv for x in acc]
-    return Matrix(out, cols=n)
+        out[cols[i]] = [x // piv for x in acc]
+    return Matrix([[Fraction(x, p) for x in r] for r in out], cols=n)
 
 
 def mat_rank(m: Matrix) -> int:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .linalg import Matrix, forward_eliminate
+from .linalg import Matrix, forward_eliminate, rational
 
 
 class SolverError(Exception):
@@ -64,14 +64,14 @@ def reduce_rows(a: Matrix, b: Sequence[Fraction]) -> Optional[tuple[Matrix, tupl
 
     Returns the surviving rows in their original (untransformed) form.
     """
-    work = [list(a.row(i)) + [Fraction(b[i])] for i in range(a.rows)]
+    work = [list(a.row(i)) + [rational(b[i])] for i in range(a.rows)]
     keep: list[int] = []
     for i, pivot in forward_eliminate(work, a.cols):
         if pivot is not None:
             keep.append(i)
         elif work[i][a.cols] != 0:
             return None  # 0 = nonzero: inconsistent system
-    return a.submatrix(keep, range(a.cols)), tuple(Fraction(b[i]) for i in keep)
+    return a.submatrix(keep, range(a.cols)), tuple(rational(b[i]) for i in keep)
 
 
 def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:

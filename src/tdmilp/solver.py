@@ -22,8 +22,9 @@ from .fracbound import frac_bound
 from .integralize import IlpInstance, MilpInstance, choose_scale, integralize, recover
 from .linalg import Matrix, SingularMatrixError, forward_eliminate, mat_det, mat_inverse
 from .simplex import SolveResult, SolveStats, SolverError, lp_solve_exact, reduce_rows
-from .structure import (CapExceededError, TdDecomposition, TdStats,
-                        decomposition_for_matrix, restrict_decomposition, td_stats)
+from .structure import (CapExceededError, TdDecomposition, TdStats, _bits, _mask_components,
+                        _matrix_adjacency, decomposition_for_matrix, restrict_decomposition,
+                        td_stats)
 
 
 def vertex_enumerate(a: Matrix, b: Sequence, lower: Sequence, upper: Sequence,
@@ -247,7 +248,16 @@ def _determinant_scale(a_frac: Matrix) -> tuple[int, int]:
     By Cramer's rule every vertex of ``a_frac y = r`` within integral bounds,
     r integral, has denominators dividing |det B| for its basis B, whatever
     the integer part fixed r; so the lcm is a valid scale.  Refuses more than
-    BASIS_CAP candidate bases before computing any determinant.
+    BASIS_CAP candidate bases of the whole matrix before computing any
+    determinant.
+
+    Both values are products over the components of the kept rows, two
+    columns being connected when they share a row: each kept row lies in one
+    component, so a basis is a basis of every component and |det B| is the
+    product of theirs, and the lcm and the largest of products that range
+    independently are the products of the components' lcms and largests.
+    Each component's bases are enumerated on their own, so a block-diagonal
+    part pays for the sum of its blocks' bases, not their product.
     """
     keep = [i for i, pivot in forward_eliminate(a_frac.row_lists(), a_frac.cols)
             if pivot is not None]
@@ -255,10 +265,19 @@ def _determinant_scale(a_frac: Matrix) -> tuple[int, int]:
     if math.comb(q, r) > BASIS_CAP:
         raise CapExceededError(f"determinant scale limited to {BASIS_CAP} bases, "
                                f"got C({q},{r})")
-    dets = [abs(int(mat_det(a_frac.submatrix(keep, cols))))
-            for cols in itertools.combinations(range(q), r)]
-    dets = [d for d in dets if d]
-    return math.lcm(*dets), max(dets)
+    kept = a_frac.submatrix(keep, range(q))
+    supports = [sum(1 << j for j, x in enumerate(kept.row(i)) if x) for i in range(r)]
+    scale = largest = 1
+    for comp in _mask_components((1 << q) - 1, _matrix_adjacency(kept, "primal")):
+        rows = [i for i, support in enumerate(supports) if support & comp]
+        if not rows:
+            continue  # columns no kept row touches: only the empty basis
+        dets = [abs(mat_det(kept.submatrix(rows, cols)))
+                for cols in itertools.combinations(_bits(comp), len(rows))]
+        dets = [int(d) for d in dets if d]
+        scale *= math.lcm(*dets)
+        largest *= max(dets)
+    return scale, largest
 
 
 def _certificate_scale(a_frac: Matrix, m: int, report: PipelineReport) -> int:
@@ -300,9 +319,10 @@ def milp_solve(inst: MilpInstance,
     obtain a scale (1 for a pure ILP; for a fractionality certificate M of
     at most M_CAP, gcd(lcm(1..M), determinant scale), or lcm(1..M) alone
     when the determinant scale passes BASIS_CAP; otherwise the determinant
-    scale, the lcm of the continuous part's basis determinants); solve the
-    scaled pure ILP by integer-first branch and bound; recover and validate
-    the mixed optimum.
+    scale, the lcm of the continuous part's basis determinants, computed as
+    a product over the components of its kept rows); solve the scaled pure
+    ILP by integer-first branch and bound; recover and validate the mixed
+    optimum, whose objective is the scaled one over the scale.
 
     Both scales are sound, so by Cramer's rule a node whose integer columns
     are integral is a vertex with integral continuous columns too.  A branch
@@ -364,7 +384,6 @@ def milp_solve(inst: MilpInstance,
 
     report.scaled_objective = ilp_res.objective
     x = recover(ilp_res.x, scale, inst)
-    objective = sum((Fraction(inst.c[j]) * x[j] for j in range(len(x))), Fraction(0))
-    res = SolveResult(status="optimal", x=x, objective=objective,
+    res = SolveResult(status="optimal", x=x, objective=Fraction(ilp_res.objective, scale),
                       basis=ilp_res.basis, stats=ilp_res.stats)
     return res, report

@@ -63,6 +63,24 @@ def wide_certificate() -> MilpInstance:
                         c=(0, 1), lower=(0, 0), upper=(1, 1))
 
 
+def acceptance_corpus(count: int):
+    """The first count instances of the acceptance corpus: random mixed
+    instances of up to 3 rows, 3 integer and 4 continuous columns."""
+    rng = random.Random(995217)
+    for _ in range(count):
+        z = rng.randrange(0, 4)
+        q = rng.randrange(1, 5)
+        m = rng.randrange(1, 4)
+        a_int = Matrix([[rng.randint(-2, 2) for _ in range(z)] for _ in range(m)], cols=z)
+        a_frac = Matrix([[rng.randint(-2, 2) for _ in range(q)] for _ in range(m)], cols=q)
+        lower = tuple(rng.randint(-3, 0) for _ in range(z + q))
+        upper = tuple(min(3, l + rng.randint(0, 6)) for l in lower)
+        b = tuple(rng.randint(-3, 3) for _ in range(m))
+        c = tuple(rng.randint(-2, 2) for _ in range(z + q))
+        yield MilpInstance(a_int=a_int, a_frac=a_frac, b=b, c=c,
+                           lower=lower, upper=upper)
+
+
 def milp_text(inst: MilpInstance) -> str:
     """The instance as MILP v1 text, columns in instance order."""
     n = inst.z + inst.q

@@ -3,9 +3,11 @@
 Everything here deliberately avoids the library's own algorithms: determinants
 come from permutation expansion, ranks and column bases from minors,
 treedepth from a bottom-up subset DP, integer optima from full box
-enumeration.
+enumeration.  The one elimination here is textbook Gaussian elimination in
+``Fraction``s, the reference for the library's fraction-free kernel.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -48,6 +50,79 @@ def leftmost_column_basis(m: Matrix):
         if det_by_permutation_expansion(m.submatrix(range(m.rows), cols)) != 0:
             return list(cols)
     return None
+
+
+def fraction_elimination(rows, width: int):
+    """Textbook Gaussian elimination in Fractions, greedy in row order.
+
+    Each row is reduced against the pivot rows before it by subtracting
+    ``row[c] / prow[c]`` times prow; its pivot is its first nonzero entry
+    among the first width, or None.  Returns the ``(i, pivot)`` sequence and
+    the reduced rows.
+    """
+    done = []
+    order = []
+    pivots = []
+    for i, row in enumerate(rows):
+        row = [Fraction(x) for x in row]
+        for prow, c in pivots:
+            if row[c] != 0:
+                f = row[c] / prow[c]
+                row = [x - f * y for x, y in zip(row, prow)]
+        pivot = next((j for j in range(width) if row[j] != 0), None)
+        if pivot is not None:
+            pivots.append((row, pivot))
+        order.append((i, pivot))
+        done.append(row)
+    return order, done
+
+
+def reference_rank(m: Matrix) -> int:
+    order, _ = fraction_elimination([m.row(i) for i in range(m.rows)], m.cols)
+    return sum(pivot is not None for _, pivot in order)
+
+
+def reference_det(m: Matrix) -> Fraction:
+    """Product of the Fraction pivots, signed by the parity of their columns."""
+    order, rows = fraction_elimination([m.row(i) for i in range(m.rows)], m.cols)
+    det = Fraction(1)
+    cols = []
+    for i, pivot in order:
+        if pivot is None:
+            return Fraction(0)
+        det *= rows[i][pivot]
+        cols.append(pivot)
+    inversions = sum(1 for k in range(len(cols)) for l in range(k + 1, len(cols))
+                     if cols[k] > cols[l])
+    return -det if inversions % 2 else det
+
+
+def reference_inverse(m: Matrix):
+    """Gauss-Jordan on ``(m | I)`` in Fractions; None when m is singular."""
+    n = m.rows
+    order, rows = fraction_elimination(
+        [list(m.row(i)) + [int(i == j) for j in range(n)] for i in range(n)], n)
+    if any(pivot is None for _, pivot in order):
+        return None
+    inv = [None] * n
+    for i, pivot in reversed(order):
+        row = [x / rows[i][pivot] for x in rows[i]]
+        for k, p in order[i + 1:]:
+            row = [x - row[p] * y for x, y in zip(row, rows[k])]
+        rows[i] = row
+        inv[pivot] = row[n:]
+    return Matrix(inv, cols=n)
+
+
+def determinant_scale_by_enumeration(a: Matrix) -> tuple[int, int]:
+    """lcm and largest of |det B| over every column basis B of the whole
+    matrix, on the rows a Fraction elimination keeps."""
+    order, _ = fraction_elimination([a.row(i) for i in range(a.rows)], a.cols)
+    keep = [i for i, pivot in order if pivot is not None]
+    dets = [abs(reference_det(a.submatrix(keep, cols)))
+            for cols in combinations(range(a.cols), len(keep))]
+    dets = [int(d) for d in dets if d]
+    return math.lcm(*dets), max(dets)
 
 
 def _subset_dp(g):

@@ -20,6 +20,33 @@ def int_matrices(draw, square=False):
 
 
 @st.composite
+def kernel_matrices(draw, square=False):
+    """Matrices up to 5x5 of one of four kinds: integral entries in -6..6,
+    p/q entries with |p| <= 6 and q <= 6, integral rows with a rational
+    combination of them inserted as a dependent row, or integral rows with a
+    zero row inserted."""
+    kind = draw(st.sampled_from(("integral", "rational", "dependent", "zero_row")))
+    cols = draw(st.integers(1, 5))
+    rows = cols if square else draw(st.integers(1, 5))
+    base = rows - 1 if kind in ("dependent", "zero_row") else rows
+    if kind == "rational":
+        entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    else:
+        entry = st.integers(-6, 6)
+    data = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(base)]
+    if kind == "dependent":
+        coeffs = draw(st.lists(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+                               min_size=base, max_size=base))
+        extra = [sum((k * r[j] for k, r in zip(coeffs, data)), Fraction(0))
+                 for j in range(cols)]
+    else:
+        extra = [0] * cols
+    if kind in ("dependent", "zero_row"):
+        data.insert(draw(st.integers(0, base)), extra)
+    return Matrix(data, cols=cols)
+
+
+@st.composite
 def rational_lps(draw):
     """LPs (a, b, lower, upper, c) with up to 3 rows and 4 columns; entries
     of a, b and c are p/q with |p| <= 3 and q <= 4, boxes are integral and at

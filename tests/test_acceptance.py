@@ -14,11 +14,12 @@ from itertools import combinations
 from tdmilp.cli import main as cli_main
 from tdmilp.families import FamilySpec, generate, reduce_ilp_to_milp, verify_family
 from tdmilp.fracbound import CapExceededError, frac_bound, structured_inverse
-from tdmilp.integralize import MilpInstance, pure_ilp, recover
+from tdmilp.integralize import pure_ilp, recover
 from tdmilp.linalg import Matrix, fractionality, mat_det, mat_inverse
 from tdmilp.solver import ilp_solve, milp_oracle, milp_solve
 from tdmilp.structure import (Graph, decomposition_for_matrix, td_compute,
                               td_stats, validate_td)
+from instances import acceptance_corpus
 from oracles import structured_invertible_matrix, treedepth_by_subset_dp
 
 
@@ -110,22 +111,6 @@ def test_criterion_4_certificate_soundness():
             f"{capped} capped, {elapsed:.1f}s")
 
 
-def _mixed_corpus(count):
-    rng = random.Random(995217)
-    for _ in range(count):
-        z = rng.randrange(0, 4)
-        q = rng.randrange(1, 5)
-        m = rng.randrange(1, 4)
-        a_int = Matrix([[rng.randint(-2, 2) for _ in range(z)] for _ in range(m)], cols=z)
-        a_frac = Matrix([[rng.randint(-2, 2) for _ in range(q)] for _ in range(m)], cols=q)
-        lower = tuple(rng.randint(-3, 0) for _ in range(z + q))
-        upper = tuple(min(3, l + rng.randint(0, 6)) for l in lower)
-        b = tuple(rng.randint(-3, 3) for _ in range(m))
-        c = tuple(rng.randint(-2, 2) for _ in range(z + q))
-        yield MilpInstance(a_int=a_int, a_frac=a_frac, b=b, c=c,
-                           lower=lower, upper=upper)
-
-
 _PIPELINE_RUNS = []
 
 
@@ -133,7 +118,7 @@ def test_criterion_5_pipeline_matches_oracle():
     t0 = time.time()
     ok = True
     optimal = 0
-    for inst in _mixed_corpus(100):
+    for inst in acceptance_corpus(100):
         res, report = milp_solve(inst)
         ora = milp_oracle(inst)
         ok &= res.status == ora.status

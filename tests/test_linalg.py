@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdmilp.fracbound import _greedy_invertible_columns
 from tdmilp.linalg import (DimensionError, Matrix, SingularMatrixError,
-                           fractionality, mat_det, mat_inverse, mat_rank,
-                           parse_matrix, rational)
-from oracles import det_by_permutation_expansion, leftmost_column_basis, rank_by_minors
-from strategies import int_matrices
+                           forward_eliminate, fractionality, mat_det, mat_inverse,
+                           mat_rank, parse_matrix, rational)
+from oracles import (det_by_permutation_expansion, fraction_elimination,
+                     leftmost_column_basis, rank_by_minors, reference_det,
+                     reference_inverse, reference_rank)
+from strategies import int_matrices, kernel_matrices
 
 
 def bidiagonal(n):
@@ -187,3 +190,50 @@ class TestEliminationProperties:
                 mat_inverse(m)
         else:
             assert mat_inverse(m) * m == Matrix.identity(m.rows)
+
+
+class TestFractionFreeKernel:
+    """The fraction-free kernel against textbook elimination in Fractions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=kernel_matrices(), data=st.data())
+    def test_pivots_match_the_fraction_reference(self, m, data):
+        width = data.draw(st.integers(0, m.cols))
+        expected, _ = fraction_elimination([m.row(i) for i in range(m.rows)], width)
+        rows = m.row_lists()
+        assert list(forward_eliminate(rows, width)) == expected
+        assert all(type(x) is int for row in rows for x in row)
+        assert mat_rank(m) == reference_rank(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=kernel_matrices(square=True))
+    def test_det_and_inverse_match_the_fraction_reference(self, m):
+        det = mat_det(m)
+        assert type(det) is Fraction
+        assert det == reference_det(m)
+        expected = reference_inverse(m)
+        if expected is None:
+            with pytest.raises(SingularMatrixError):
+                mat_inverse(m)
+        else:
+            assert mat_inverse(m) == expected
+
+    def test_det_is_a_fraction(self):
+        for m in (Matrix([[2, 1], [1, 1]]), Matrix([[1, 2], [2, 4]]), Matrix([], cols=0),
+                  Matrix([[Fraction(1, 2), 1], [1, Fraction(1, 3)]])):
+            assert type(mat_det(m)) is Fraction
+        assert mat_det(Matrix([[Fraction(1, 2), 1], [1, Fraction(1, 3)]])) == Fraction(-5, 6)
+
+    def test_inverse_divides_exactly(self):
+        # int / int would give the float 0.5
+        x = mat_inverse(Matrix([[2]]))[0, 0]
+        assert type(x) is Fraction and x == Fraction(1, 2)
+
+    def test_integral_entries_are_ints(self):
+        m = Matrix([[Fraction(4, 2), "6/3", Fraction(1, 2)], [1, -0, "3"]])
+        assert [type(x) for x in m.entries()] == [int, int, Fraction, int, int, int]
+        assert type(rational(Fraction(5))) is int and type(rational("-4/2")) is int
+        assert all(type(x) is int for x in mat_inverse(Matrix([[1, 1], [0, 1]])).entries())
+        assert type(Matrix.zeros(1, 1)[0, 0]) is int
+        assert type(Matrix.identity(1)[0, 0]) is int
+        assert type((Matrix([[Fraction(1, 2)]]) * Matrix([[2]]))[0, 0]) is int

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdmilp.integralize import MilpInstance, choose_scale, integralize, pure_ilp
-from tdmilp.linalg import Matrix
+from tdmilp import solver
+from tdmilp.integralize import (FeasibilityError, MilpInstance, choose_scale, integralize,
+                                pure_ilp, recover)
+from tdmilp.linalg import Matrix, mat_det
 from tdmilp.simplex import SolverError, lp_solve_exact
 from tdmilp.solver import (PipelineOptions, PipelineReport, _determinant_scale,
                            _most_fractional, choose_side, ilp_solve, milp_oracle, milp_solve,
                            vertex_enumerate)
 from tdmilp.structure import CapExceededError
-from instances import (dense_continuous, dense_continuous_exact, nfold_one_integer,
-                       wide_certificate)
-from oracles import ilp_by_box_enumeration
+from instances import (acceptance_corpus, dense_continuous, dense_continuous_exact,
+                       nfold_one_integer, wide_certificate)
+from oracles import determinant_scale_by_enumeration, ilp_by_box_enumeration
 from strategies import mixed_instances
 
 
@@ -205,6 +208,44 @@ class TestDeterminantScale:
     def test_lcm_and_largest_determinant(self, rows, expected):
         assert _determinant_scale(Matrix(rows)) == expected
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_product_over_components_is_the_whole_enumeration(self, data):
+        # a block-diagonal matrix, rows and columns shuffled, against every
+        # column basis of the whole matrix
+        blocks = data.draw(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 3)),
+                                    min_size=1, max_size=3))
+        q = sum(c for _, c in blocks)
+        rows, left = [], 0
+        for r, c in blocks:
+            for _ in range(r):
+                entries = data.draw(st.lists(st.integers(-3, 3), min_size=c, max_size=c))
+                rows.append([0] * left + entries + [0] * (q - left - c))
+            left += c
+        row_order = data.draw(st.permutations(range(len(rows))))
+        col_order = data.draw(st.permutations(range(q)))
+        a = Matrix(rows).submatrix(row_order, col_order)
+        assert _determinant_scale(a) == determinant_scale_by_enumeration(a)
+
+    def test_block_diagonal_part_enumerates_each_block(self, monkeypatch):
+        # a 7x14 continuous part of a 3x6 and a 4x8 block: C(6,3) + C(8,4)
+        # determinants instead of C(14,7) = 3432
+        rng = random.Random(7)
+        rows = [[rng.randint(1, 4) for _ in range(6)] + [0] * 8 for _ in range(3)]
+        rows += [[0] * 6 + [rng.randint(1, 4) for _ in range(8)] for _ in range(4)]
+        a = Matrix(rows)
+        calls = []
+
+        def counting(m):
+            calls.append(m.shape)
+            return mat_det(m)
+
+        monkeypatch.setattr(solver, "mat_det", counting)
+        scale, largest = _determinant_scale(a)
+        assert len(calls) == math.comb(6, 3) + math.comb(8, 4)
+        monkeypatch.undo()
+        assert (scale, largest) == determinant_scale_by_enumeration(a)
+
     def test_independent_of_the_integer_box(self):
         # a free integer column widens the box past a million points; the
         # scale depends on the continuous block alone, so the optimum stays
@@ -226,6 +267,47 @@ class TestDeterminantScale:
         report = info.value.report
         assert (report.primal_stats.height, report.dual_stats.height) == (16, 8)
         assert report.notes == ["certificate exceeded usable cap; determinant scale"]
+
+
+class TestNoFloats:
+    """A float compares equal to the rational it stands for, and the
+    benchmark's checker reads 0.5 as 1/2, so only the types show one that
+    escaped the exact arithmetic."""
+
+    @staticmethod
+    def check(inst):
+        res, report = milp_solve(inst)
+        scaled = integralize(inst, report.scale)
+        assert all(type(v) is int for v in scaled.matrix.entries())
+        assert all(type(v) is int
+                   for v in (*scaled.b, *scaled.c, *scaled.lower, *scaled.upper))
+        if res.status != "optimal":
+            return
+        assert all(type(v) in (int, Fraction) for v in res.x)
+        assert type(res.objective) in (int, Fraction)
+        a, z, scale = inst.matrix, inst.z, report.scale
+        y = [v if j < z else v * scale for j, v in enumerate(res.x)]
+        assert recover(y, scale, inst) == res.x
+        for j in range(len(y)):
+            hit = next((i for i in range(inst.rows) if a[i, j]), None)
+            if hit is None:
+                continue
+            bad = list(y)
+            bad[j] += 1  # moves every row with a nonzero in column j
+            got = inst.b[hit] + a[hit, j] * (1 if j < z else Fraction(1, scale))
+            message = f"^constraint row {hit} violated: {got} != {inst.b[hit]}$"
+            with pytest.raises(FeasibilityError, match=message) as info:
+                recover(bad, scale, inst)
+            assert info.value.row == hit
+
+    def test_acceptance_corpus(self):
+        for inst in acceptance_corpus(100):
+            self.check(inst)
+
+    @settings(max_examples=150, deadline=None)
+    @given(inst=mixed_instances())
+    def test_mixed_instances(self, inst):
+        self.check(inst)
 
 
 class TestScaleWitness:
