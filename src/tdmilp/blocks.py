@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import Matrix
-from .structure import (StructureError, TdDecomposition, primal_graph,
-                        restrict_decomposition, td_stats, validate_td)
+from .structure import (StructureError, TdDecomposition, _supports, check_fit,
+                        restrict_decomposition, td_stats)
 
 
 @dataclass(frozen=True)
@@ -80,17 +80,14 @@ def split_forest(a: Matrix, f: TdDecomposition
     belong to no part; a row touching two trees raises StructureError.
     """
     cols_of = [f.subtree(r) for r in f.roots]
-    owner = [0] * a.cols
-    for t, cols in enumerate(cols_of):
-        for j in cols:
-            owner[j] = t
+    masks = [sum(1 << j for j in cols) for cols in cols_of]
     rows_of: list[list[int]] = [[] for _ in cols_of]
-    for i in range(a.rows):
-        trees = {owner[j] for j, x in enumerate(a.row(i)) if x}
+    for i, support in enumerate(_supports(map(a.row, range(a.rows)))):
+        trees = [t for t, mask in enumerate(masks) if support & mask]
         if len(trees) > 1:
             raise StructureError("row spans decomposition trees")
         if trees:
-            rows_of[trees.pop()].append(i)
+            rows_of[trees[0]].append(i)
     return [(rows, cols, a.submatrix(rows, cols), restrict_decomposition(f, cols))
             for rows, cols in zip(rows_of, cols_of)]
 
@@ -98,17 +95,15 @@ def split_forest(a: Matrix, f: TdDecomposition
 def primal_decompose(a: Matrix, f: TdDecomposition) -> BlockStructure:
     """Split a into border columns and diagonal blocks along f's top path.
 
-    f must be a single tree over the columns of a that validates against the
-    primal graph.  Deterministic: blocks follow the ascending-index order of
+    f must be a single tree that fits a (``check_fit``), else StructureError
+    is raised.  Deterministic: blocks follow the ascending-index order of
     the first non-degenerate vertex's children, rows keep ascending order.
     """
     if a.cols == 0:
         raise StructureError("cannot decompose a matrix with no columns")
-    if not validate_td(primal_graph(a), f):
-        raise StructureError("decomposition does not validate against the primal graph")
+    supports = check_fit(a, f)
     path = top_path(f)
     k1 = len(path)
-    border = set(path)
     first_nondeg = path[-1]
     subtree_children = f.children(first_nondeg)
 
@@ -123,22 +118,13 @@ def primal_decompose(a: Matrix, f: TdDecomposition) -> BlockStructure:
                               rows=a.rows, cols=a.cols)
 
     subtrees = [f.subtree(c) for c in subtree_children]
-    col_to_block: dict[int, int] = {}
-    for bi, cols in enumerate(subtrees):
-        for c in cols:
-            col_to_block[c] = bi
-
+    masks = [sum(1 << j for j in cols) for cols in subtrees]
     block_rows: list[list[int]] = [[] for _ in subtrees]
-    for i in range(a.rows):
-        support = {j for j in range(a.cols) if a[i, j] != 0}
-        outside = support - border
-        if not outside:
-            block_rows[0].append(i)  # border-only rows attach to the first block
-            continue
-        owners = {col_to_block[j] for j in outside}
-        if len(owners) != 1:
-            raise StructureError("row spans two subtrees; decomposition invalid")
-        block_rows[owners.pop()].append(i)
+    for i, support in enumerate(supports):
+        # a chain leaves the border in at most one subtree; border-only rows
+        # attach to the first block
+        bi = next((bi for bi, mask in enumerate(masks) if support & mask), 0)
+        block_rows[bi].append(i)
 
     blocks = []
     for bi, cols in enumerate(subtrees):

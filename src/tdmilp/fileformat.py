@@ -150,14 +150,9 @@ def parse_instance(text: str) -> ParsedInstance:
     int_set = set(ints)
     cont_cols = [j for j in range(n) if j not in int_set]
     order = int_cols + cont_cols
-    if rows:
-        a_int = Matrix([[r[0][j] for j in int_cols] for r in rows], cols=len(int_cols))
-        a_frac = Matrix([[r[0][j] for j in cont_cols] for r in rows], cols=len(cont_cols))
-        b = tuple(int(r[1]) for r in rows)
-    else:
-        a_int = Matrix([], cols=len(int_cols))
-        a_frac = Matrix([], cols=len(cont_cols))
-        b = ()
+    a_int = Matrix([[r[0][j] for j in int_cols] for r in rows], cols=len(int_cols))
+    a_frac = Matrix([[r[0][j] for j in cont_cols] for r in rows], cols=len(cont_cols))
+    b = tuple(int(r[1]) for r in rows)
     perm = lambda vec: tuple(vec[j] for j in order)  # noqa: E731
     inst = MilpInstance(a_int=a_int, a_frac=a_frac, b=b, c=perm(obj[0]),
                         lower=perm(lb[0]), upper=perm(ub[0]))

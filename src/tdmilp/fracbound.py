@@ -23,8 +23,8 @@ from typing import Optional, Sequence, Union
 from .blocks import graft_path_above, primal_decompose, split_forest
 from .linalg import Matrix, SingularMatrixError, forward_eliminate, mat_inverse
 from .structure import CapExceededError as _BaseCapError
-from .structure import (StructureError, TdDecomposition, TdStats, primal_graph,
-                        restrict_decomposition, td_stats, validate_td)
+from .structure import (TdDecomposition, TdStats, check_fit, restrict_decomposition,
+                        td_stats)
 
 _LOG2_E = math.log2(math.e)
 
@@ -271,17 +271,14 @@ def _structured(a: Matrix, f: TdDecomposition) -> InverseTrace:
 def structured_inverse(a: Matrix, f: TdDecomposition) -> tuple[Matrix, StructuredInverseTrace]:
     """Invert a by the recursion over its block structure.
 
-    f must validate against the primal graph of a.  The recursion only records
+    f must fit a (``check_fit``), else StructureError.  The recursion only records
     the trace: every split, and the t, u and beta of every peel.
     The inverse returned is the trace's replay, which equals
     ``mat_inverse(a)`` exactly; a singular a raises SingularMatrixError.
     """
     if a.rows != a.cols:
         raise SingularMatrixError("matrix is not square")
-    if f.vertex_count != a.cols:
-        raise StructureError("decomposition size does not match column count")
-    if not validate_td(primal_graph(a), f):
-        raise StructureError("decomposition does not validate against the primal graph")
+    check_fit(a, f)
     trace = StructuredInverseTrace(_structured(a, f))
     return trace.replay(), trace
 
@@ -487,18 +484,15 @@ def frac_bound(a: Matrix, f: TdDecomposition, side: str = "primal",
                bit_cap: int = 10 ** 6) -> FractionalityCertificate:
     """Certified bound on fr of the inverse of any invertible column submatrix.
 
-    The dual side transposes the matrix first; f must then validate against
-    the dual graph (= primal graph of the transpose).  Raises CapExceededError
+    The dual side transposes the matrix first; f must then fit the transpose
+    (``check_fit``), else StructureError.  Raises CapExceededError
     with a log2 estimate when the bound outgrows bit_cap.
     """
     if side == "dual":
         a = a.transpose()
     elif side != "primal":
         raise ValueError(f"unknown side {side!r}")
-    if f.vertex_count != a.cols:
-        raise StructureError("decomposition size does not match column count")
-    if not validate_td(primal_graph(a), f):
-        raise StructureError("decomposition does not validate against the graph")
+    check_fit(a, f)
 
     ar = _BoundArith(bit_cap)
     norm = a.max_abs()

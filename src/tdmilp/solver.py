@@ -23,8 +23,8 @@ from .integralize import IlpInstance, MilpInstance, choose_scale, integralize, r
 from .linalg import Matrix, SingularMatrixError, forward_eliminate, mat_det, mat_inverse
 from .simplex import SolveResult, SolveStats, SolverError, lp_solve_exact, reduce_rows
 from .structure import (CapExceededError, TdDecomposition, TdStats, _bits, _mask_components,
-                        _matrix_adjacency, decomposition_for_matrix, restrict_decomposition,
-                        td_stats)
+                        _matrix_adjacency, _supports, decomposition_for_matrix,
+                        restrict_decomposition, td_stats)
 
 
 def vertex_enumerate(a: Matrix, b: Sequence, lower: Sequence, upper: Sequence,
@@ -266,7 +266,7 @@ def _determinant_scale(a_frac: Matrix) -> tuple[int, int]:
         raise CapExceededError(f"determinant scale limited to {BASIS_CAP} bases, "
                                f"got C({q},{r})")
     kept = a_frac.submatrix(keep, range(q))
-    supports = [sum(1 << j for j, x in enumerate(kept.row(i)) if x) for i in range(r)]
+    supports = _supports(map(kept.row, range(r)))
     scale = largest = 1
     for comp in _mask_components((1 << q) - 1, _matrix_adjacency(kept, "primal")):
         rows = [i for i, support in enumerate(supports) if support & comp]

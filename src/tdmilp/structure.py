@@ -4,6 +4,8 @@ The primal graph of a matrix has one vertex per column, with an edge whenever
 two columns share a row with nonzero entries in both; the dual graph is the
 primal graph of the transpose.  A decomposition is a rooted forest over the
 vertices; it is valid when every graph edge joins an ancestor-descendant pair.
+For a matrix that is one test per row: the row's support (its nonzero
+columns) must be a chain, all on one root-to-leaf path (``check_fit``).
 
 Components and decompositions are computed on adjacency bitmasks (bit v of
 ``adj[u]`` is set when u and v are adjacent) over the whole graph, built
@@ -71,6 +73,12 @@ class Graph:
         return "\n".join(f"{u} {v}" for u, v in sorted(self.edges))
 
 
+def _supports(lines: Iterable[Sequence]) -> list[int]:
+    """The support of each line (a row or a column of a matrix) as a bitmask:
+    bit j is set when entry j is nonzero."""
+    return [sum(1 << j for j, x in enumerate(line) if x) for line in lines]
+
+
 def _matrix_adjacency(a: Matrix, side: str) -> list[int]:
     """Adjacency bitmasks of the primal (one vertex per column) or dual (one
     vertex per row) graph of a: the support of each row, or of each column,
@@ -83,8 +91,7 @@ def _matrix_adjacency(a: Matrix, side: str) -> list[int]:
     else:
         raise ValueError(f"unknown side {side!r}")
     adj = [0] * n
-    for line in lines:
-        clique = sum(1 << v for v, x in enumerate(line) if x)
+    for clique in _supports(lines):
         for v in _bits(clique):
             adj[v] |= clique ^ (1 << v)
     return adj
@@ -127,7 +134,7 @@ def connected_components(g: Graph) -> list[list[int]]:
 class TdDecomposition:
     """Rooted forest over vertices 0..n-1, stored as a parent map."""
 
-    __slots__ = ("vertex_count", "parent", "_children", "_roots")
+    __slots__ = ("vertex_count", "parent", "_children", "_roots", "_ancestors")
 
     def __init__(self, parent: Sequence[Optional[int]]):
         n = len(parent)
@@ -142,22 +149,24 @@ class TdDecomposition:
                 children[p].append(v)
         if not roots and n > 0:
             raise StructureError("no root: parent relation is cyclic")
-        # acyclicity: every vertex must reach a root
-        depth = [-1] * n
+        # ancestor mask of each vertex, itself included; a vertex that no
+        # root reaches keeps mask 0 and lies on or below a cycle
+        ancestors = [0] * n
         for r in roots:
-            depth[r] = 1
+            ancestors[r] = 1 << r
             stack = [r]
             while stack:
                 u = stack.pop()
                 for c in children[u]:
-                    depth[c] = depth[u] + 1
+                    ancestors[c] = ancestors[u] | (1 << c)
                     stack.append(c)
-        if any(d < 0 for d in depth):
+        if not all(ancestors):
             raise StructureError("cycle in parent relation")
         object.__setattr__(self, "vertex_count", n)
         object.__setattr__(self, "parent", tuple(parent))
         object.__setattr__(self, "_children", tuple(tuple(sorted(c)) for c in children))
         object.__setattr__(self, "_roots", tuple(sorted(roots)))
+        object.__setattr__(self, "_ancestors", tuple(ancestors))
 
     def __setattr__(self, name, value):
         raise AttributeError("TdDecomposition is immutable")
@@ -168,15 +177,6 @@ class TdDecomposition:
 
     def children(self, v: int) -> tuple[int, ...]:
         return self._children[v]
-
-    def is_ancestor(self, u: int, v: int) -> bool:
-        """True iff u is a (strict or equal) ancestor of v."""
-        w: Optional[int] = v
-        while w is not None:
-            if w == u:
-                return True
-            w = self.parent[w]
-        return False
 
     def subtree(self, v: int) -> list[int]:
         """Vertices of the subtree rooted at v, sorted."""
@@ -213,11 +213,32 @@ class TdStats:
         return f"td_{tag}=height:{self.height};ttd:{self.topological_height};k:{ks}"
 
 
+def _is_chain(support: int, f: TdDecomposition) -> bool:
+    """True when the vertices in support lie on one root-to-leaf path of f:
+    one of them has all of support among its ancestors."""
+    return not support or any(not support & ~f._ancestors[v] for v in _bits(support))
+
+
+def check_fit(a: Matrix, f: TdDecomposition) -> list[int]:
+    """The row supports of a, once f is checked to fit a.
+
+    f fits a when it is a decomposition over the columns of a under which the
+    support of every row is a chain, that is, when f validates against the
+    primal graph of a.  Raises StructureError otherwise.
+    """
+    if f.vertex_count != a.cols:
+        raise StructureError("decomposition size does not match column count")
+    supports = _supports(map(a.row, range(a.rows)))
+    if not all(_is_chain(s, f) for s in supports):
+        raise StructureError("decomposition does not validate against the primal graph")
+    return supports
+
+
 def validate_td(g: Graph, f: TdDecomposition) -> bool:
     """True iff every edge of g joins an ancestor-descendant pair of f."""
     if g.vertex_count != f.vertex_count:
         raise DimensionError("graph and decomposition vertex counts differ")
-    return all(f.is_ancestor(u, v) or f.is_ancestor(v, u) for u, v in g.edges)
+    return all(_is_chain((1 << u) | (1 << v), f) for u, v in g.edges)
 
 
 def td_stats(f: TdDecomposition) -> TdStats:

@@ -194,6 +194,21 @@ def lowest_root_decomposition(g) -> tuple:
     return tuple(parent)
 
 
+def fits_by_edge_walk(a: Matrix, parent) -> bool:
+    """True iff every two columns sharing a nonzero row of a are an
+    ancestor-descendant pair of the forest, found by walking up parent."""
+    def above(u, v):
+        while v is not None and v != u:
+            v = parent[v]
+        return v == u
+
+    for i in range(a.rows):
+        support = [j for j in range(a.cols) if a[i, j] != 0]
+        if not all(above(u, v) or above(v, u) for u, v in combinations(support, 2)):
+            return False
+    return True
+
+
 def components_by_union_find(g) -> list[list[int]]:
     """Connected components by union-find over the edge list, each sorted,
     ordered by their lowest vertex."""

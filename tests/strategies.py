@@ -144,6 +144,18 @@ def graphs(draw):
 
 
 @st.composite
+def forests(draw, n):
+    """Parent arrays of rooted forests on n vertices: placed in a random
+    order, each vertex goes below one placed before it or becomes a root."""
+    order = draw(st.permutations(range(n)))
+    parent = [None] * n
+    for i, v in enumerate(order):
+        k = draw(st.integers(-1, i - 1))
+        parent[v] = None if k < 0 else order[k]
+    return parent
+
+
+@st.composite
 def sparse_matrices(draw):
     """Integer matrices up to 8x10, most entries zero, so both interaction
     graphs split into several components."""

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from tdmilp.blocks import hatted_blocks, primal_decompose, split_forest, structure_trace
@@ -8,6 +6,16 @@ from tdmilp.linalg import Matrix
 from tdmilp.structure import (StructureError, TdDecomposition,
                               decomposition_for_matrix, primal_graph, td_stats,
                               validate_td)
+
+
+def tree_parts(n, k, seeds):
+    """(part, its tree, its block structure) for every tree of the exact
+    decomposition of random_td matrices."""
+    for seed in seeds:
+        a = generate(FamilySpec("random_td", n=n, k=k, t=3, seed=seed, magnitude=2))
+        f = decomposition_for_matrix(a, "primal", "exact")
+        for _, _, sub, f_sub in split_forest(a, f):
+            yield sub, f_sub, primal_decompose(sub, f_sub)
 
 
 def two_brick_border(border_width=1):
@@ -45,23 +53,16 @@ class TestPrimalDecompose:
         assert bs.blocks[1].row_ids == (1, 2)
 
     def test_round_trip_permutation(self):
-        rng = random.Random(5)
-        for seed in range(15):
-            a = generate(FamilySpec("random_td", n=6, k=5, t=3, seed=seed, magnitude=2))
-            f = decomposition_for_matrix(a, "primal", "exact")
-            if len(f.roots) != 1:
-                continue
-            bs = primal_decompose(a, f)
-            assert bs.reassemble() == a.submatrix(bs.row_order, bs.col_order)
+        multi = 0
+        for sub, _, bs in tree_parts(6, 5, range(15)):
+            assert bs.reassemble() == sub.submatrix(bs.row_order, bs.col_order)
+            multi += len(bs.blocks) > 1
+        assert multi >= 12  # 44 parts
 
     def test_blocks_shrink_height_and_ttd(self):
-        for seed in range(10):
-            a = generate(FamilySpec("random_td", n=7, k=6, t=3, seed=seed, magnitude=2))
-            f = decomposition_for_matrix(a, "primal", "exact")
-            if len(f.roots) != 1:
-                continue
-            st = td_stats(f)
-            bs = primal_decompose(a, f)
+        multi = 0
+        for _, f_sub, bs in tree_parts(7, 6, range(10)):
+            st = td_stats(f_sub)
             for blk in bs.blocks:
                 if blk.diagonal.cols == 0:
                     continue
@@ -69,12 +70,18 @@ class TestPrimalDecompose:
                 assert validate_td(primal_graph(blk.diagonal), blk.decomposition)
                 assert sub_stats.topological_height <= st.topological_height - 1
                 assert sub_stats.height <= st.height - bs.k1
+            multi += len(bs.blocks) > 1
+        assert multi >= 7  # 36 parts
 
     def test_invalid_decomposition_rejected(self):
         a = two_brick_border()
         bad = TdDecomposition([None, None, None])  # three isolated roots
         with pytest.raises(StructureError):
             primal_decompose(a, bad)
+
+    def test_wrong_size_decomposition_is_a_structure_error(self):
+        with pytest.raises(StructureError, match="size does not match column count"):
+            primal_decompose(two_brick_border(), TdDecomposition([None, 0]))
 
     def test_deterministic(self):
         a = two_brick_border()
@@ -103,18 +110,16 @@ class TestHattedBlocks:
             assert validate_td(primal_graph(strip), hat)
 
     def test_hatted_height_and_ttd(self):
-        for seed in range(10):
-            a = generate(FamilySpec("random_td", n=7, k=6, t=3, seed=seed, magnitude=2))
-            f = decomposition_for_matrix(a, "primal", "exact")
-            if len(f.roots) != 1:
-                continue
-            st = td_stats(f)
-            bs = primal_decompose(a, f)
+        multi = 0
+        for _, f_sub, bs in tree_parts(7, 6, range(10)):
+            st = td_stats(f_sub)
             for strip, hat in hatted_blocks(bs):
                 hat_stats = td_stats(hat)
                 assert validate_td(primal_graph(strip), hat)
                 assert hat_stats.topological_height < max(st.topological_height, 2)
                 assert hat_stats.height <= st.height
+            multi += len(bs.blocks) > 1
+        assert multi >= 7  # 36 parts
 
 
 def test_structure_trace_renders_components():

@@ -52,6 +52,31 @@ lb 0
 ub 2
 """
 
+# one tree: border column 0 above the blocks {1} and {2}
+STAR = """MILP v1
+vars 3
+obj 0 0 0
+row 1 1 0 = 1
+row 1 0 1 = 1
+lb 0 0 0
+ub 1 1 1
+"""
+
+# the certificate of this chain outgrows the default bit cap
+CHAIN = """MILP v1
+vars 4
+obj 0 0 0 0
+row 1 2 0 0 = 1
+row 0 1 2 0 = 1
+row 0 0 1 2 = 1
+lb 0 0 0 0
+ub 1 1 1 1
+"""
+
+
+def box_only(ints):
+    return f"MILP v1\nvars 2\nints {ints}\nobj 1 -1\nlb 0 0\nub 3 3\n"
+
 
 def one_row(token):
     return f"MILP v1\nvars 1\nobj 1\nrow {token} = 1\nlb 0\nub 2\n"
@@ -100,6 +125,10 @@ class TestParseInstance:
         assert inst.a_frac == Matrix([[3, 2]])
         assert inst.b == (6,)
 
+    def test_row_less_instance(self):
+        inst = parse_instance(box_only("0")).instance
+        assert (inst.a_int.shape, inst.a_frac.shape, inst.b) == ((0, 1), (0, 1), ())
+
     def test_errors_carry_line_numbers(self):
         with pytest.raises(ParseError) as err:
             parse_instance("MILP v1\nvars 2\nbogus 1\n")
@@ -144,10 +173,55 @@ class TestCommands:
         assert "td_primal=" in out and "td_dual=" in out
         assert "block_structure:" in out
 
+    def test_analyze_recurses_into_blocks(self):
+        code, out = run_cli(["analyze", "--format", "machine"], stdin=STAR)
+        assert code == 0
+        assert out.splitlines()[2:] == [
+            "block_structure:",
+            "node: k1=1 border_cols=[0] d=2 height=2 ttd=2",
+            "  block 0: rows=[0] cols=[1] size=1x1",
+            "    node: k1=1 border_cols=[0] d=1 height=1 ttd=1",
+            "      block 0: rows=[0] cols=[] size=1x0",
+            "  block 1: rows=[1] cols=[2] size=1x1",
+            "    node: k1=1 border_cols=[0] d=1 height=1 ttd=1",
+            "      block 0: rows=[0] cols=[] size=1x0",
+        ]
+
     def test_bound(self):
         code, out = run_cli(["bound"], stdin=TINY)
         assert code == 0
         assert "bound=2" in out
+
+    def test_bound_past_bit_cap_exit_code(self):
+        err = io.StringIO()
+        code, out = run_cli(["bound"], stdin=CHAIN, err=err)
+        assert code == 3
+        assert err.getvalue().startswith("cap exceeded: log2 estimate ")
+        assert len(out.splitlines()) == 1 and out.startswith("log2_estimate=")
+
+    @pytest.mark.parametrize("ints", ["0 1", "0"], ids=["pure", "mixed"])
+    def test_row_less_instance_solves(self, ints):
+        code, out = run_cli(["solve"], stdin=box_only(ints))
+        _, oracle = run_cli(["oracle"], stdin=box_only(ints))
+        assert code == 0
+        assert out.splitlines()[:4] == oracle.splitlines()
+        assert oracle.splitlines() == ["status=optimal", "x0=0", "x1=3", "objective=-3"]
+
+    def test_file_path_input(self, tmp_path):
+        path = tmp_path / "mixed.milp"
+        path.write_text(MIXED, encoding="utf-8")
+        assert run_cli(["solve", str(path), "--format", "machine"]) == \
+            run_cli(["solve", "--format", "machine"], stdin=MIXED)
+
+    @pytest.mark.parametrize("args, expected", [
+        (["lemma5_p1", "--n", "2"], ["dimension=2", "objective=sum_of_squares", "row 1 1 = 1"]),
+        (["lemma5_p2", "--k", "3"], ["dimension=1", "objective=squared_distance,1/3"]),
+        (["lemma5_p3"], ["dimension=1", "objective=cubic,0,-1,2,1", "lb 0", "ub 1"]),
+    ], ids=["lemma5_p1", "lemma5_p2", "lemma5_p3"])
+    def test_gen_descriptor(self, args, expected):
+        code, out = run_cli(["gen"] + args)
+        assert code == 0
+        assert out.splitlines() == ["MIP descriptor"] + expected
 
     def test_reduce_rejects_mixed(self):
         code, _ = run_cli(["reduce"], stdin=TINY)

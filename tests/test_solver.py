@@ -325,6 +325,19 @@ class TestScaleWitness:
         with pytest.raises(SolverError, match=r"m_source=certificate m=2 scale=1$"):
             milp_solve(inst)
 
+    def test_certificate_alone_past_the_basis_cap(self, monkeypatch):
+        # with no basis allowed the determinant scale is capped, so lcm(1..m)
+        # of the certificate is the scale, with no gcd cut
+        monkeypatch.setattr(solver, "BASIS_CAP", 0)
+        inst = MilpInstance(a_int=Matrix([[]], cols=0), a_frac=Matrix([[2]]),
+                            b=(1,), c=(1,), lower=(0,), upper=(1,))
+        res, report = milp_solve(inst)
+        ora = milp_oracle(inst)
+        assert (report.m_source, report.m_value) == ("certificate", 2)
+        assert report.scale == choose_scale(report.m_value)
+        assert not any("scale cut" in note for note in report.notes)
+        assert (res.status, res.x, res.objective) == (ora.status, ora.x, ora.objective)
+
     def test_override_may_branch_on_a_continuous_column(self):
         inst = MilpInstance(a_int=Matrix([[]], cols=0), a_frac=Matrix([[2]]),
                             b=(1,), c=(1,), lower=(0,), upper=(1,))

@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 
 from tdmilp.linalg import Matrix
 from tdmilp.structure import (CapExceededError, Graph, StructureError,
-                              TdDecomposition, connected_components,
+                              TdDecomposition, check_fit, connected_components,
                               decomposition_for_matrix, dual_graph, primal_graph,
                               restrict_decomposition, td_compute, td_stats,
                               validate_td)
-from oracles import (components_by_union_find, lowest_root_decomposition,
-                     treedepth_by_subset_dp)
-from strategies import connected_graphs, graphs, sparse_matrices
+from oracles import (components_by_union_find, fits_by_edge_walk,
+                     lowest_root_decomposition, treedepth_by_subset_dp)
+from strategies import connected_graphs, forests, graphs, sparse_matrices
 
 
 def path_graph(n):
@@ -248,6 +248,31 @@ def test_decomposition_for_matrix_handles_components():
     f = decomposition_for_matrix(a, "primal", "exact")
     assert len(f.roots) == 2
     assert validate_td(primal_graph(a), f)
+
+
+@pytest.mark.parametrize("parent, message", [
+    ([1, 0], "no root"), ([None, 2, 3, 2], "cycle"), ([None, 2], "out of range"),
+], ids=["no_root", "cycle_below_root", "out_of_range"])
+def test_bad_parent_arrays_rejected(parent, message):
+    with pytest.raises(StructureError, match=message):
+        TdDecomposition(parent)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fit_check_agrees_with_edge_walk(data):
+    # random forests, about a third of them fitting the matrix
+    a = data.draw(sparse_matrices())
+    parent = data.draw(forests(a.cols))
+    f = TdDecomposition(parent)
+    fits = fits_by_edge_walk(a, parent)
+    assert validate_td(primal_graph(a), f) == fits
+    if fits:
+        assert check_fit(a, f) == [sum(1 << j for j in range(a.cols) if a[i, j])
+                                   for i in range(a.rows)]
+    else:
+        with pytest.raises(StructureError, match="does not validate"):
+            check_fit(a, f)
 
 
 def test_decomposition_for_matrix_rejects_an_unknown_side():
