@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .integralize import MilpInstance
-from .linalg import Matrix, rational
+from .linalg import Matrix, clear_denominators, rational
 
 
 class ParseError(Exception):
@@ -64,7 +63,7 @@ def _ints(tokens: list[str], line_no: int, what: str) -> list[int]:
     return values
 
 
-def _num(token: str, line_no: int) -> Fraction:
+def _num(token: str, line_no: int) -> int | Fraction:
     try:
         return rational(token)
     except ValueError as exc:
@@ -78,7 +77,7 @@ def parse_instance(text: str) -> ParsedInstance:
     obj = None
     lb = None
     ub = None
-    rows: list[tuple[list[Fraction], Fraction]] = []
+    rows: list[tuple[list[int], int]] = []
     saw_header = False
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -113,12 +112,8 @@ def parse_instance(text: str) -> ParsedInstance:
             rhs_part = rest[eq + 1:]
             if len(rhs_part) != 1:
                 raise ParseError("row needs exactly one rhs", line_no)
-            rhs = _num(rhs_part[0], line_no)
-            scale = lcm(rhs.denominator, *(c.denominator for c in coeffs))
-            if scale != 1:
-                coeffs = [c * scale for c in coeffs]
-                rhs *= scale
-            rows.append((coeffs, rhs))
+            row, _ = clear_denominators(coeffs + [_num(rhs_part[0], line_no)])
+            rows.append((row[:-1], row[-1]))
         elif key == "ineq":
             raise ParseError("inequality rows are reserved and not supported in v1", line_no)
         else:
@@ -152,7 +147,7 @@ def parse_instance(text: str) -> ParsedInstance:
     order = int_cols + cont_cols
     a_int = Matrix([[r[0][j] for j in int_cols] for r in rows], cols=len(int_cols))
     a_frac = Matrix([[r[0][j] for j in cont_cols] for r in rows], cols=len(cont_cols))
-    b = tuple(int(r[1]) for r in rows)
+    b = tuple(r[1] for r in rows)
     perm = lambda vec: tuple(vec[j] for j in order)  # noqa: E731
     inst = MilpInstance(a_int=a_int, a_frac=a_frac, b=b, c=perm(obj[0]),
                         lower=perm(lb[0]), upper=perm(ub[0]))

@@ -25,23 +25,20 @@ class FeasibilityError(Exception):
 
 
 def _int_vector(values: Sequence[int | Fraction], name: str) -> tuple[int, ...]:
-    out = []
-    for v in values:
-        if not isinstance(v, int):
-            f = Fraction(v)
-            if f.denominator != 1:
-                raise ValueError(f"{name} must be integral, got {v}")
-            v = f.numerator
-        out.append(int(v))
-    return tuple(out)
+    out = tuple(map(rational, values))
+    for v in out:
+        if type(v) is not int:
+            raise ValueError(f"{name} must be integral, got {v}")
+    return out
 
 
 @dataclass(frozen=True)
 class MilpInstance:
     """min c.x s.t. a_int x_Z + a_frac x_Q = b, lower <= x <= upper.
 
-    All data is integral; columns are ordered integer variables first, then
-    continuous ones.  Bounds are finite.
+    All data is integral, b, c and the bounds as ints after ``rational``
+    (a float raises TypeError); columns are ordered integer variables first,
+    then continuous ones.  Bounds are finite.
     """
 
     a_int: Matrix

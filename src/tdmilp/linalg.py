@@ -2,7 +2,10 @@
 
 A scalar is a Python ``int`` when it is integral and a stdlib
 ``fractions.Fraction`` (lowest terms, positive denominator) otherwise, so
-integral data stays in ints.  Matrices are immutable, dense and row-major;
+integral data stays in ints.  ``rational`` is the one coercion of input to
+that form (a float raises TypeError rather than become a binary fraction),
+and ``clear_denominators`` the one way to put such scalars over a common
+denominator.  Matrices are immutable, dense and row-major;
 every operation is exact, there is no floating point anywhere.
 Determinant, inverse and rank (and the row reduction and column basis
 elsewhere in the package) all run the one elimination kernel,
@@ -94,18 +97,18 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
+    def __getitem__(self, key: tuple[int, int]) -> int | Fraction:
         i, j = key
         return self._data[i][j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
+    def row(self, i: int) -> tuple[int | Fraction, ...]:
         return self._data[i]
 
-    def entries(self) -> Iterator[Fraction]:
+    def entries(self) -> Iterator[int | Fraction]:
         for r in self._data:
             yield from r
 
-    def row_lists(self) -> list[list[Fraction]]:
+    def row_lists(self) -> list[list[int | Fraction]]:
         """Mutable copy of the entries, for elimination scratch work."""
         return [list(r) for r in self._data]
 
@@ -160,7 +163,7 @@ class Matrix:
     def __hash__(self) -> int:
         return hash((self.rows, self.cols, self._data))
 
-    def apply_vector(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    def apply_vector(self, x: Sequence[int | Fraction]) -> tuple[int | Fraction, ...]:
         if len(x) != self.cols:
             raise DimensionError("vector length mismatch")
         return tuple(_dot(r, x) for r in self._data)
@@ -182,7 +185,7 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> int | Fraction:
+def _dot(a: Sequence[int | Fraction], b: Sequence[int | Fraction]) -> int | Fraction:
     """Sum of the products of the pairs with no zero factor, from int 0."""
     return sum(x * y for x, y in zip(a, b) if x and y)
 
@@ -198,17 +201,26 @@ def parse_matrix(text: str) -> Matrix:
     return Matrix(rows)
 
 
-def _row_factor(row: Sequence[int | Fraction]) -> int:
-    """The lcm of the row's denominators, the least factor clearing it to ints."""
-    return math.lcm(*(x.denominator for x in row))
+def clear_denominators(values: Sequence[int | Fraction],
+                       base: int = 1) -> tuple[Sequence[int], int]:
+    """Ints k and the least multiple d of base with ``values[i] == k[i] / d``.
+
+    The values must be as ``rational`` returns them (ints, or Fractions that
+    are not integral), so when d is 1 they are ints already and come back as
+    they are, with no work per entry.
+    """
+    d = math.lcm(base, *[x.denominator for x in values])
+    if d == 1:
+        return values, 1
+    return [x.numerator * (d // x.denominator) for x in values], d
 
 
 def forward_eliminate(rows: list[list[int | Fraction]],
                       width: int) -> Iterator[tuple[int, Optional[int]]]:
     """The Gaussian-elimination kernel: greedy forward elimination in row order.
 
-    Works on ``rows`` in place and fraction-free.  Each row is multiplied by
-    the lcm of its denominators, which leaves an int row as it is, and is
+    Works on ``rows`` in place and fraction-free.  Each row is cleared to
+    ints by ``clear_denominators``, which leaves an int row as it is, and is
     then reduced against the pivot rows before it by Bareiss's step
     ``row = (p*row - row[c]*prow) // d``, where p is prow's pivot entry, c
     its column, and d the pivot entry of the pivot row last applied to this
@@ -227,9 +239,7 @@ def forward_eliminate(rows: list[list[int | Fraction]],
     pivots: list[tuple[list[int], int]] = []
     top = 1  # pivot entry of the last pivot row
     for i, row in enumerate(rows):
-        factor = _row_factor(row)
-        if factor != 1:
-            row = [x.numerator * (factor // x.denominator) for x in row]
+        row, _ = clear_denominators(row)
         d = 1
         for prow, c in pivots:
             f = row[c]
@@ -254,7 +264,7 @@ def mat_det(m: Matrix) -> Fraction:
     if not m.is_square():
         raise DimensionError("determinant needs a square matrix")
     a = m.row_lists()
-    factors = math.prod(_row_factor(row) for row in a)
+    factors = math.prod(clear_denominators(row)[1] for row in a)
     last = 1
     cols: list[int] = []
     for i, pivot in forward_eliminate(a, m.cols):

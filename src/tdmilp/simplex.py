@@ -27,12 +27,11 @@ the violated bound, ties to the lowest index.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .linalg import Matrix, forward_eliminate, rational
+from .linalg import Matrix, clear_denominators, forward_eliminate, rational
 
 
 class SolverError(Exception):
@@ -59,7 +58,8 @@ class SolveResult:
     final: Optional[_BoundedSimplex] = field(default=None, compare=False, repr=False)
 
 
-def reduce_rows(a: Matrix, b: Sequence[Fraction]) -> Optional[tuple[Matrix, tuple[Fraction, ...]]]:
+def reduce_rows(a: Matrix, b: Sequence[int | Fraction]
+                ) -> Optional[tuple[Matrix, tuple[int | Fraction, ...]]]:
     """Drop linearly dependent rows; None when a dependent row is inconsistent.
 
     Returns the surviving rows in their original (untransformed) form.
@@ -74,16 +74,10 @@ def reduce_rows(a: Matrix, b: Sequence[Fraction]) -> Optional[tuple[Matrix, tupl
     return a.submatrix(keep, range(a.cols)), tuple(rational(b[i]) for i in keep)
 
 
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Ints k and the least d > 0 with values[i] == k[i] / d."""
-    d = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
-
-
 IntRows = tuple[tuple[int, ...], ...]
 
 
-def _integer_rows(a: Matrix, b: tuple[Fraction, ...]) -> Optional[IntRows]:
+def _integer_rows(a: Matrix, b: tuple[int | Fraction, ...]) -> Optional[IntRows]:
     """``reduce_rows(a, b)`` as int rows (coefficients, then the rhs), all
     scaled by one common factor; None when the system is inconsistent."""
     reduced = reduce_rows(a, b)
@@ -91,8 +85,7 @@ def _integer_rows(a: Matrix, b: tuple[Fraction, ...]) -> Optional[IntRows]:
         return None
     red, rhs = reduced
     w = a.cols + 1
-    flat, _ = _over_common_denominator([v for i in range(red.rows)
-                                        for v in (*red.row(i), rhs[i])])
+    flat, _ = clear_denominators([v for i in range(red.rows) for v in (*red.row(i), rhs[i])])
     return tuple(tuple(flat[i * w:(i + 1) * w]) for i in range(red.rows))
 
 
@@ -111,21 +104,21 @@ class _BoundedSimplex:
     ``problem`` is the (a, b, c) solved, for checking a warm start.
     """
 
-    def __init__(self, rows: IntRows, lo: list[Fraction], up: list[Fraction],
-                 c: list[Fraction], problem: tuple, stats: SolveStats, pivot_cap: int):
+    def __init__(self, rows: IntRows, lo: list[int | Fraction], up: list[int | Fraction],
+                 c: Sequence[int | Fraction], problem: tuple, stats: SolveStats,
+                 pivot_cap: int):
         self.n = n = len(lo)
         self.m = len(rows)
         self.stats = stats
         self.pivot_cap = pivot_cap
         self.problem = problem
-        ints, self.cden = _over_common_denominator(c)
-        self.costs = ints + [0] * self.m
+        costs, self.cden = clear_denominators(c)
+        self.costs = list(costs) + [0] * self.m
 
         # scaling the rows multiplies only the artificials, and scaling the
         # bounds multiplies every value by scale, so no pivot choice changes
-        self.scale = math.lcm(*(v.denominator for v in (*lo, *up)))
-        self.lo = [v.numerator * (self.scale // v.denominator) for v in lo]
-        self.up = [v.numerator * (self.scale // v.denominator) for v in up]
+        bounds, self.scale = clear_denominators([*lo, *up])
+        self.lo, self.up = bounds[:n], bounds[n:]
         self.tableau = []
         self.den = 1
         # start every structural variable at its lower bound; flip row signs
@@ -282,16 +275,16 @@ class _BoundedSimplex:
         return all(rc[j] <= 0 if self.at_upper[j] else rc[j] >= 0
                    for j in cols if self.can_move(j))
 
-    def warm(self, lower: Sequence, upper: Sequence, stats: SolveStats,
-             pivot_cap: int) -> Optional[_BoundedSimplex]:
-        """A copy of this final state with the bounds replaced and each
-        non-basic value moved onto its new bound; None when the basis is not
-        dual feasible for them.  This state is left as it is."""
+    def warm(self, lower: Sequence[int | Fraction], upper: Sequence[int | Fraction],
+             stats: SolveStats, pivot_cap: int) -> Optional[_BoundedSimplex]:
+        """A copy of this final state with the bounds (as ``rational``
+        returns them) replaced and each non-basic value moved onto its new
+        bound; None when the basis is not dual feasible for them.  This state
+        is left as it is."""
         n = self.n
-        scale = math.lcm(self.scale, *(v.denominator for v in (*lower, *upper)))
+        bounds, scale = clear_denominators([*lower, *upper], base=self.scale)
+        lo, up = bounds[:n], bounds[n:]
         f = scale // self.scale
-        lo = [v.numerator * (scale // v.denominator) for v in lower]
-        up = [v.numerator * (scale // v.denominator) for v in upper]
         sx = copy.copy(self)
         sx.stats, sx.pivot_cap = stats, pivot_cap
         sx.scale, sx.lo, sx.up = scale, lo, up
@@ -382,25 +375,28 @@ def lp_solve_exact(a: Matrix, b: Sequence, lower: Sequence, upper: Sequence,
 
     Bounds must be finite, so the optimum exists whenever the system is
     feasible.  Returns an optimal basic feasible solution or the infeasible
-    status.  ``start``, an optimal result of this function for the same a,
-    b and c, warm-starts the solve from its final tableau by a dual simplex
-    (bounds then must be ints or Fractions); a start that solved another
-    problem raises ValueError.  A warm optimum is checked to price out, and
-    SolverError is raised if it does not.
+    status.  b, the bounds and c go through ``rational``, so a float raises
+    TypeError.  ``start``, an optimal result of this function for the same
+    a, b and c, warm-starts the solve from its final tableau by a dual
+    simplex; a start that solved another problem raises ValueError.  A warm
+    optimum is checked to price out, and SolverError is raised if it does
+    not.
     """
     n = a.cols
     if len(lower) != n or len(upper) != n or len(c) != n:
         raise ValueError("bound/objective length mismatch")
     if len(b) != a.rows:
         raise ValueError(f"right-hand side has {len(b)} entries for {a.rows} rows")
+    b, c = tuple(map(rational, b)), tuple(map(rational, c))
+    lo = [rational(v) for v in lower]
+    up = [rational(v) for v in upper]
+    if start is not None and (start.final is None or start.final.problem != (a, b, c)):
+        raise ValueError("start is not an optimal solve of this (a, b, c)")
+    if any(l > u for l, u in zip(lo, up)):
+        return SolveResult(status="infeasible")
     if start is not None:
-        final = start.final
-        if final is None or final.problem != (a, tuple(b), tuple(c)):
-            raise ValueError("start is not an optimal solve of this (a, b, c)")
-        if any(l > u for l, u in zip(lower, upper)):
-            return SolveResult(status="infeasible")
         stats = SolveStats()
-        sx = final.warm(lower, upper, stats, pivot_cap)
+        sx = start.final.warm(lo, up, stats, pivot_cap)
         if sx is not None:
             if not sx.dual_iterate():
                 return SolveResult(status="infeasible", stats=stats)
@@ -408,17 +404,11 @@ def lp_solve_exact(a: Matrix, b: Sequence, lower: Sequence, upper: Sequence,
                 raise SolverError("warm start ended on a basis that does not price out")
             return sx.result()
 
-    lo = [Fraction(v) for v in lower]
-    up = [Fraction(v) for v in upper]
-    cv = [Fraction(v) for v in c]
-    if any(l > u for l, u in zip(lo, up)):
-        return SolveResult(status="infeasible")
-
-    rows = _integer_rows(a, tuple(Fraction(v) for v in b))
+    rows = _integer_rows(a, b)
     if rows is None:
         return SolveResult(status="infeasible")
     stats = SolveStats()
-    sx = _BoundedSimplex(rows, lo, up, cv, (a, tuple(b), tuple(c)), stats, pivot_cap)
+    sx = _BoundedSimplex(rows, lo, up, c, (a, b, c), stats, pivot_cap)
 
     sx.iterate([0] * n + [1] * sx.m)
     if sx.infeasible():

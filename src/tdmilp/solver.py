@@ -20,7 +20,8 @@ from typing import Optional, Sequence
 from .fracbound import CapExceededError as CertCapError
 from .fracbound import frac_bound
 from .integralize import IlpInstance, MilpInstance, choose_scale, integralize, recover
-from .linalg import Matrix, SingularMatrixError, forward_eliminate, mat_det, mat_inverse
+from .linalg import (Matrix, SingularMatrixError, forward_eliminate, mat_det, mat_inverse,
+                     rational)
 from .simplex import SolveResult, SolveStats, SolverError, lp_solve_exact, reduce_rows
 from .structure import (CapExceededError, TdDecomposition, TdStats, _bits, _mask_components,
                         _matrix_adjacency, _supports, decomposition_for_matrix,
@@ -28,28 +29,29 @@ from .structure import (CapExceededError, TdDecomposition, TdStats, _bits, _mask
 
 
 def vertex_enumerate(a: Matrix, b: Sequence, lower: Sequence, upper: Sequence,
-                     cap: int = 12) -> list[tuple[Fraction, ...]]:
+                     cap: int = 12) -> list[tuple[int | Fraction, ...]]:
     """All basic feasible solutions of ``a x = b, lower <= x <= upper``.
 
     Every invertible column basis is solved against every lower/upper
     assignment of the non-basic variables; duplicates are removed.  Refuses
-    systems with more than cap variables.
+    systems with more than cap variables.  The data goes through
+    ``rational``, so a float raises TypeError.
     """
     n = a.cols
     if n > cap:
         raise CapExceededError(f"vertex enumeration limited to {cap} variables, got {n}")
-    lo = [Fraction(v) for v in lower]
-    up = [Fraction(v) for v in upper]
+    lo = [rational(v) for v in lower]
+    up = [rational(v) for v in upper]
     if any(l > u for l, u in zip(lo, up)):
         return []
-    reduced = reduce_rows(a, [Fraction(v) for v in b])
+    reduced = reduce_rows(a, b)
     if reduced is None:
         return []
     a, bvec = reduced
     m = a.rows
 
-    seen: set[tuple[Fraction, ...]] = set()
-    out: list[tuple[Fraction, ...]] = []
+    seen: set[tuple[int | Fraction, ...]] = set()
+    out: list[tuple[int | Fraction, ...]] = []
     for basis in itertools.combinations(range(n), m):
         sub = a.submatrix(range(m), basis)
         try:
@@ -112,11 +114,13 @@ def ilp_solve(inst: IlpInstance, z: Optional[int] = None) -> SolveResult:
     index leaves; least ratio enters, ties to the lowest index) replaces
     both phases.  At a non-unique LP optimum it may pick another vertex
     than a cold solve, which can change ``x`` and the node count, never the
-    status or the objective.
+    status or the objective.  A z outside 0..n raises ValueError.
     """
     matrix = inst.matrix
     n = matrix.cols
     z = n if z is None else z
+    if not 0 <= z <= n:
+        raise ValueError(f"z must lie in 0..{n}, got {z}")
     stats = SolveStats()
     counter = itertools.count()
     root = (inst.lower, inst.upper)

@@ -127,3 +127,12 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         IlpInstance(a_int=Matrix([[1]]), a_frac=Matrix([[1]]),
                     b=(1,), c=(0, 0), lower=(0, 0), upper=(1, 1))
+
+
+@pytest.mark.parametrize("field", ["b", "c", "lower", "upper"])
+def test_float_data_rejected(field):
+    # 2.0 == 2, so only a check on the type refuses it
+    data = dict(b=(2,), c=(1, 1), lower=(0, 0), upper=(2, 1))
+    data[field] = tuple(float(v) for v in data[field])
+    with pytest.raises(TypeError, match="float"):
+        MilpInstance(a_int=Matrix([[1]]), a_frac=Matrix([[2]]), **data)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdmilp.fracbound import _greedy_invertible_columns
-from tdmilp.linalg import (DimensionError, Matrix, SingularMatrixError,
+from tdmilp.linalg import (DimensionError, Matrix, SingularMatrixError, clear_denominators,
                            forward_eliminate, fractionality, mat_det, mat_inverse,
                            mat_rank, parse_matrix, rational)
 from oracles import (det_by_permutation_expansion, fraction_elimination,
@@ -237,3 +238,24 @@ class TestFractionFreeKernel:
         assert type(Matrix.zeros(1, 1)[0, 0]) is int
         assert type(Matrix.identity(1)[0, 0]) is int
         assert type((Matrix([[Fraction(1, 2)]]) * Matrix([[2]]))[0, 0]) is int
+
+
+# p/q values as ``rational`` returns them (an int when q divides p), mixed with ints
+rationals = st.one_of(st.integers(-50, 50),
+                      st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)).map(rational))
+
+
+class TestClearDenominators:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(rationals, max_size=8), base=st.integers(1, 12))
+    def test_ints_over_the_least_common_multiple(self, values, base):
+        ints, d = clear_denominators(values, base)
+        assert d == math.lcm(base, *(v.denominator for v in values))
+        assert all(type(k) is int for k in ints)
+        assert len(ints) == len(values)
+        assert all(k == v * d for k, v in zip(ints, values))
+
+    @given(values=st.lists(st.integers(), max_size=8))
+    def test_ints_come_back_as_they_are(self, values):
+        ints, d = clear_denominators(values)
+        assert d == 1 and ints == values

@@ -323,6 +323,56 @@ class TestWarmStart:
             lp_solve_exact(a, b, lo, up, c, start=parent)
 
 
+class TestIntegerState:
+    """The tableau, the scaled bounds and the costs hold ints only, whatever
+    the data came in as: an integral Fraction bound such as F(2, 2) equals
+    its int, so only the types show one that rode into the pivots."""
+
+    @staticmethod
+    def assert_all_int(res):
+        sx = res.final
+        assert all(type(v) is int for row in sx.tableau for v in row)
+        assert all(type(v) is int for v in (*sx.lo, *sx.up, *sx.costs))
+
+    @pytest.mark.parametrize("lo, up", [
+        ([F(0, 1), F(1, 1), F(0, 1)], [F(2, 2), F(2, 1), F(2, 1)]),
+        ([0, F(1, 2), 0], [F(3, 2), 2, F(5, 3)]),
+    ], ids=["integral_fractions", "p/q"])
+    def test_cold_and_warm_solves(self, lo, up):
+        a, b, c = Matrix([[1, 1, 1]]), [F(3, 2)], [1, 2, 3]
+        parent = lp_solve_exact(a, b, [0] * 3, [2] * 3, c)
+        self.assert_all_int(parent)
+        for start in (parent, None):
+            res = lp_solve_exact(a, b, lo, up, c, start=start)
+            assert res.status == "optimal"
+            self.assert_all_int(res)
+
+
+FLOAT_SLOTS = {"b": 1, "lower": 2, "upper": 3, "c": 4}
+
+
+class TestFloatsFailClosed:
+    """A float would become a binary fraction (0.1 as
+    3602879701896397/36028797018963968); the data goes through ``rational``,
+    which refuses it."""
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("slot", sorted(FLOAT_SLOTS))
+    def test_lp_solve_exact(self, slot, warm):
+        args = [Matrix([[1, 1]]), [1], [0, 0], [2, 2], [1, 1]]
+        start = lp_solve_exact(*args) if warm else None
+        args[FLOAT_SLOTS[slot]][0] = 0.1 if slot == "b" else 1.0
+        with pytest.raises(TypeError, match="float"):
+            lp_solve_exact(*args, start=start)
+
+    @pytest.mark.parametrize("slot", ["b", "lower", "upper"])
+    def test_vertex_enumerate(self, slot):
+        args = [Matrix([[1, 1]]), [1], [0, 0], [2, 2]]
+        args[FLOAT_SLOTS[slot]][0] = 0.5
+        with pytest.raises(TypeError, match="float"):
+            vertex_enumerate(*args)
+
+
 def _solve_in_fresh_process(args):
     """lp_solve_exact(*args) in a new interpreter, as the repr of its result."""
     code = ("import sys\n"

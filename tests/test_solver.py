@@ -102,6 +102,15 @@ class TestIlpSolve:
         assert root_start is None and len(children) == 2
         assert all(start is root for start, _ in children)
 
+    @pytest.mark.parametrize("z", [-1, 5])
+    def test_z_outside_the_columns(self, z):
+        # the root LP is fractional, so an unchecked z = 5 would index past x
+        # and z = -1 would branch on the last column
+        inst = pure_ilp(Matrix([[2, 2]]), (3,), (0, 0), (0, 0), (2, 2))
+        with pytest.raises(ValueError, match=r"z must lie in 0\.\.2"):
+            ilp_solve(inst, z)
+        assert [ilp_solve(inst, k).status for k in (0, 2)] == ["infeasible"] * 2
+
     def test_against_box_enumeration(self):
         rng = random.Random(7)
         for _ in range(30):
