@@ -34,8 +34,6 @@ class BlockStructure:
     k1: int
     border_cols: tuple[int, ...]
     blocks: tuple[Block, ...]
-    rows: int
-    cols: int
 
     @property
     def row_order(self) -> tuple[int, ...]:
@@ -104,20 +102,8 @@ def primal_decompose(a: Matrix, f: TdDecomposition) -> BlockStructure:
     supports = check_fit(a, f)
     path = top_path(f)
     k1 = len(path)
-    first_nondeg = path[-1]
-    subtree_children = f.children(first_nondeg)
-
-    if not subtree_children:
-        # the whole tree is a path: everything is border, one empty block
-        row_ids = tuple(range(a.rows))
-        blk = Block(border=a.submatrix(row_ids, path),
-                    diagonal=a.submatrix(row_ids, ()),
-                    decomposition=TdDecomposition([]),
-                    row_ids=row_ids, col_ids=())
-        return BlockStructure(k1=k1, border_cols=tuple(path), blocks=(blk,),
-                              rows=a.rows, cols=a.cols)
-
-    subtrees = [f.subtree(c) for c in subtree_children]
+    # a path has no subtree below it: all of it is border, one empty block
+    subtrees = [f.subtree(c) for c in f.children(path[-1])] or [[]]
     masks = [sum(1 << j for j in cols) for cols in subtrees]
     block_rows: list[list[int]] = [[] for _ in subtrees]
     for i, support in enumerate(supports):
@@ -133,8 +119,7 @@ def primal_decompose(a: Matrix, f: TdDecomposition) -> BlockStructure:
                             diagonal=a.submatrix(rows, cols),
                             decomposition=restrict_decomposition(f, cols),
                             row_ids=rows, col_ids=tuple(cols)))
-    return BlockStructure(k1=k1, border_cols=tuple(path), blocks=tuple(blocks),
-                          rows=a.rows, cols=a.cols)
+    return BlockStructure(k1=k1, border_cols=tuple(path), blocks=tuple(blocks))
 
 
 def graft_path_above(f: TdDecomposition, path_len: int) -> TdDecomposition:

@@ -72,12 +72,15 @@ def _num(token: str, line_no: int) -> int | Fraction:
 
 def parse_instance(text: str) -> ParsedInstance:
     """Parse the MILP v1 text form."""
+    # ints, obj, lb, ub and every row keep their line number for the checks
+    # after the loop, which wait for vars (it may come last)
     n = None
-    ints: list[int] | None = None
+    ints: list[int] = []
+    ints_line = 0
     obj = None
     lb = None
     ub = None
-    rows: list[tuple[list[int], int]] = []
+    rows: list[tuple[list[int], int, int]] = []
     saw_header = False
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -97,7 +100,7 @@ def parse_instance(text: str) -> ParsedInstance:
             if n < 1:
                 raise ParseError("vars must be positive", line_no)
         elif key == "ints":
-            ints = _ints(rest, line_no, "ints")
+            ints, ints_line = _ints(rest, line_no, "ints"), line_no
         elif key == "obj":
             obj = (_ints(rest, line_no, "objective"), line_no)
         elif key == "lb":
@@ -113,7 +116,7 @@ def parse_instance(text: str) -> ParsedInstance:
             if len(rhs_part) != 1:
                 raise ParseError("row needs exactly one rhs", line_no)
             row, _ = clear_denominators(coeffs + [_num(rhs_part[0], line_no)])
-            rows.append((row[:-1], row[-1]))
+            rows.append((row[:-1], row[-1], line_no))
         elif key == "ineq":
             raise ParseError("inequality rows are reserved and not supported in v1", line_no)
         else:
@@ -127,19 +130,18 @@ def parse_instance(text: str) -> ParsedInstance:
         raise ParseError("missing obj line", 1)
     if lb is None or ub is None:
         raise ParseError("missing lb/ub line", 1)
-    ints = ints or []
 
     for name, (vec, ln) in (("obj", obj), ("lb", lb), ("ub", ub)):
         if len(vec) != n:
             raise ParseError(f"{name} needs {n} entries, got {len(vec)}", ln)
     for idx in ints:
         if not (0 <= idx < n):
-            raise ParseError(f"integer index {idx} out of range", 1)
+            raise ParseError(f"integer index {idx} out of range", ints_line)
     if len(set(ints)) != len(ints):
-        raise ParseError("duplicate integer indices", 1)
-    for coeffs, _ in rows:
+        raise ParseError("duplicate integer indices", ints_line)
+    for coeffs, _, ln in rows:
         if len(coeffs) != n:
-            raise ParseError(f"row needs {n} coefficients, got {len(coeffs)}", 1)
+            raise ParseError(f"row needs {n} coefficients, got {len(coeffs)}", ln)
 
     int_cols = sorted(ints)
     int_set = set(ints)

@@ -103,7 +103,6 @@ class PeelStep:
     """
 
     col_perm: tuple[int, ...]
-    m1: int
     b1: "InverseTrace"
     b1_inv: Matrix
     t: Matrix
@@ -172,7 +171,8 @@ def _greedy_invertible_columns(strip: Matrix) -> list[int]:
     """Leftmost column subset of full row rank, grown by exact rank tests."""
     m = strip.rows
     chosen: list[int] = []
-    for j, pivot in forward_eliminate(strip.transpose().row_lists(), m):
+    columns = [list(col) for col in zip(*map(strip.row, range(m)))]
+    for j, pivot in forward_eliminate(columns, m):
         if pivot is not None:
             chosen.append(j)
             if len(chosen) == m:
@@ -223,15 +223,10 @@ def _invert_q1(q: Matrix, w: int, blocks: list[tuple[int, TdDecomposition]]) -> 
 
     # the leftover candidate columns are the border of the peeled matrix
     rest_trace = _invert_q1(q1p, n1, blocks[1:])
-    return PeelStep(tuple(col_perm), m1, b1_trace, b1_inv, t, u, beta, rest_trace)
+    return PeelStep(tuple(col_perm), b1_trace, b1_inv, t, u, beta, rest_trace)
 
 
 def _structured(a: Matrix, f: TdDecomposition) -> InverseTrace:
-    if a.rows != a.cols:
-        raise SingularMatrixError("structured inversion needs a square matrix")
-    if a.rows == 0:
-        return BaseTrace(a)
-
     if len(f.roots) > 1:
         # forest: columns of different trees never share a row, so the matrix
         # is block diagonal up to permutation, a split with an empty Q1
@@ -257,8 +252,6 @@ def _structured(a: Matrix, f: TdDecomposition) -> InverseTrace:
     q1_rows = [i for b in strict for i in b.row_ids]
     q1_cols = list(bs.border_cols) + [j for b in strict for j in b.col_ids]
     q2_rows = [i for b in square for i in b.row_ids]
-    if len(q1_rows) != len(q1_cols):
-        raise SingularMatrixError("unbalanced border split")
 
     q1_trace = _invert_q1(a.submatrix(q1_rows, q1_cols), bs.k1,
                           [(b.diagonal.rows, b.decomposition) for b in strict])

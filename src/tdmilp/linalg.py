@@ -136,8 +136,9 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
-            ot = other.transpose()._data
-            return Matrix([[_dot(r, c) for c in ot] for r in self._data], cols=other.cols)
+            # a right operand with no rows still has other.cols (empty) columns
+            columns = list(zip(*other._data)) or [()] * other.cols
+            return Matrix([[_dot(r, c) for c in columns] for r in self._data], cols=other.cols)
         scalar = rational(other)
         return Matrix([[x * scalar for x in r] for r in self._data], cols=self.cols)
 

@@ -33,6 +33,8 @@ from typing import Iterable, Optional, Sequence
 
 from .linalg import Matrix, clear_denominators, forward_eliminate, rational
 
+PIVOT_CAP = 1_000_000  # most pivots one solve may take before SolverError
+
 
 class SolverError(Exception):
     """Internal solver invariant violation."""
@@ -105,12 +107,10 @@ class _BoundedSimplex:
     """
 
     def __init__(self, rows: IntRows, lo: list[int | Fraction], up: list[int | Fraction],
-                 c: Sequence[int | Fraction], problem: tuple, stats: SolveStats,
-                 pivot_cap: int):
+                 c: Sequence[int | Fraction], problem: tuple, stats: SolveStats):
         self.n = n = len(lo)
         self.m = len(rows)
         self.stats = stats
-        self.pivot_cap = pivot_cap
         self.problem = problem
         costs, self.cden = clear_denominators(c)
         self.costs = list(costs) + [0] * self.m
@@ -163,7 +163,7 @@ class _BoundedSimplex:
         n = self.n
         lo, up = self.lo, self.up
         while True:
-            if self.stats.pivots > self.pivot_cap:
+            if self.stats.pivots > PIVOT_CAP:
                 raise SolverError("pivot cap exceeded")
             entering = -1
             direction = 0
@@ -276,7 +276,7 @@ class _BoundedSimplex:
                    for j in cols if self.can_move(j))
 
     def warm(self, lower: Sequence[int | Fraction], upper: Sequence[int | Fraction],
-             stats: SolveStats, pivot_cap: int) -> Optional[_BoundedSimplex]:
+             stats: SolveStats) -> Optional[_BoundedSimplex]:
         """A copy of this final state with the bounds (as ``rational``
         returns them) replaced and each non-basic value moved onto its new
         bound; None when the basis is not dual feasible for them.  This state
@@ -286,7 +286,7 @@ class _BoundedSimplex:
         lo, up = bounds[:n], bounds[n:]
         f = scale // self.scale
         sx = copy.copy(self)
-        sx.stats, sx.pivot_cap = stats, pivot_cap
+        sx.stats = stats
         sx.scale, sx.lo, sx.up = scale, lo, up
         sx.tableau = [row[:] for row in self.tableau]
         sx.basis = self.basis[:]
@@ -324,7 +324,7 @@ class _BoundedSimplex:
         n = self.n
         lo, up = self.lo, self.up
         while True:
-            if self.stats.pivots > self.pivot_cap:
+            if self.stats.pivots > PIVOT_CAP:
                 raise SolverError("pivot cap exceeded")
             den = self.den
             leave_row, leave_var = -1, n
@@ -369,8 +369,7 @@ class _BoundedSimplex:
 
 
 def lp_solve_exact(a: Matrix, b: Sequence, lower: Sequence, upper: Sequence,
-                   c: Sequence, pivot_cap: int = 1_000_000, *,
-                   start: Optional[SolveResult] = None) -> SolveResult:
+                   c: Sequence, *, start: Optional[SolveResult] = None) -> SolveResult:
     """min c.x s.t. a x = b, lower <= x <= upper, all arithmetic exact.
 
     Bounds must be finite, so the optimum exists whenever the system is
@@ -380,7 +379,7 @@ def lp_solve_exact(a: Matrix, b: Sequence, lower: Sequence, upper: Sequence,
     a, b and c, warm-starts the solve from its final tableau by a dual
     simplex; a start that solved another problem raises ValueError.  A warm
     optimum is checked to price out, and SolverError is raised if it does
-    not.
+    not.  A solve past ``PIVOT_CAP`` pivots raises SolverError too.
     """
     n = a.cols
     if len(lower) != n or len(upper) != n or len(c) != n:
@@ -396,7 +395,7 @@ def lp_solve_exact(a: Matrix, b: Sequence, lower: Sequence, upper: Sequence,
         return SolveResult(status="infeasible")
     if start is not None:
         stats = SolveStats()
-        sx = start.final.warm(lo, up, stats, pivot_cap)
+        sx = start.final.warm(lo, up, stats)
         if sx is not None:
             if not sx.dual_iterate():
                 return SolveResult(status="infeasible", stats=stats)
@@ -408,7 +407,7 @@ def lp_solve_exact(a: Matrix, b: Sequence, lower: Sequence, upper: Sequence,
     if rows is None:
         return SolveResult(status="infeasible")
     stats = SolveStats()
-    sx = _BoundedSimplex(rows, lo, up, c, (a, b, c), stats, pivot_cap)
+    sx = _BoundedSimplex(rows, lo, up, c, (a, b, c), stats)
 
     sx.iterate([0] * n + [1] * sx.m)
     if sx.infeasible():

@@ -249,8 +249,6 @@ def td_stats(f: TdDecomposition) -> TdStats:
     non-degenerate vertex; each later level counts the vertices strictly below
     the previous non-degenerate vertex down to the next one.
     """
-    if f.vertex_count == 0:
-        return TdStats(0, 0, ())
     height = 0
     ttd = 0
     levels: dict[int, int] = {}

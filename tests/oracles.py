@@ -4,14 +4,18 @@ Everything here deliberately avoids the library's own algorithms: determinants
 come from permutation expansion, ranks and column bases from minors,
 treedepth from a bottom-up subset DP, integer optima from full box
 enumeration.  The one elimination here is textbook Gaussian elimination in
-``Fraction``s, the reference for the library's fraction-free kernel.
+``Fraction``s, the reference for the library's fraction-free kernel.  The
+one exception is the mixed-optimum reference, a plain branch and bound over
+the library's exact simplex that skips the scaling it checks.
 """
 
+import heapq
 import math
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, count, permutations, product
 
 from tdmilp.linalg import Matrix
+from tdmilp.simplex import lp_solve_exact
 
 
 def det_by_permutation_expansion(m: Matrix) -> Fraction:
@@ -273,3 +277,31 @@ def ilp_by_box_enumeration(matrix: Matrix, b, c, lower, upper):
     if best is None:
         return "infeasible", None
     return "optimal", Fraction(best)
+
+
+def milp_by_integer_branching(inst):
+    """(status, objective) of a mixed instance by best-bound branch and bound
+    over ``lp_solve_exact`` on the unscaled instance.
+
+    Only the first z (integer) columns are branched on, the first fractional
+    one each time; the first node popped whose integer columns are integral
+    is optimal, since no open node has a lower LP bound.
+    """
+    heap = []
+    order = count()  # ties pop in creation order
+
+    def push(lower, upper):
+        res = lp_solve_exact(inst.matrix, inst.b, lower, upper, inst.c)
+        if res.status == "optimal":
+            heapq.heappush(heap, (res.objective, next(order), lower, upper, res.x))
+
+    push(list(inst.lower), list(inst.upper))
+    while heap:
+        objective, _, lower, upper, x = heapq.heappop(heap)
+        j = next((j for j in range(inst.z) if x[j].denominator != 1), None)
+        if j is None:
+            return "optimal", objective
+        floor = math.floor(x[j])
+        push(lower, upper[:j] + [floor] + upper[j + 1:])
+        push(lower[:j] + [floor + 1] + lower[j + 1:], upper)
+    return "infeasible", None

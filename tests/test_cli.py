@@ -1,6 +1,8 @@
 import contextlib
 import io
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +76,25 @@ ub 1 1 1 1
 """
 
 
+# line 3 is the ints line, lines 5 and 6 the rows
+TWO_ROWS = ["MILP v1", "vars 2", "ints 0", "obj 1 1", "row 1 1 = 1", "row 1 -1 = 1",
+            "lb 0 0", "ub 1 1"]
+
+
+def two_rows_with(line_no, text):
+    """TWO_ROWS with its line line_no (1-based) replaced by text; None
+    drops the line."""
+    lines = TWO_ROWS[:line_no - 1] + ([] if text is None else [text]) + TWO_ROWS[line_no:]
+    return "\n".join(lines) + "\n"
+
+
+def readme_instance():
+    """The fenced block of README.md that starts with the MILP v1 header."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\n(.*?)^```", readme, re.S | re.M)
+    return next(b for b in blocks if b.startswith("MILP v1\n"))
+
+
 def box_only(ints):
     return f"MILP v1\nvars 2\nints {ints}\nobj 1 -1\nlb 0 0\nub 3 3\n"
 
@@ -140,6 +161,36 @@ class TestParseInstance:
         with pytest.raises(ParseError):
             parse_instance(TINY.replace("vars 1", "vars 2"))
 
+    @pytest.mark.parametrize("text, error", [
+        (two_rows_with(2, "vars 2 3"), "line 2: vars takes one count"),
+        (two_rows_with(2, "vars 0"), "line 2: vars must be positive"),
+        (two_rows_with(6, "row 1 -1 0"), "line 6: row needs '= rhs'"),
+        (two_rows_with(6, "row 1 -1 = 0 1"), "line 6: row needs exactly one rhs"),
+        ("\n# only a comment\n", "line 1: missing header"),
+        (two_rows_with(2, None), "line 1: missing vars line"),
+        (two_rows_with(4, None), "line 1: missing obj line"),
+        (two_rows_with(7, None), "line 1: missing lb/ub line"),
+        (two_rows_with(8, None), "line 1: missing lb/ub line"),
+        (two_rows_with(3, "ints 0 2"), "line 3: integer index 2 out of range"),
+        (two_rows_with(3, "ints 1 1"), "line 3: duplicate integer indices"),
+        (two_rows_with(6, "row 1 = 0"), "line 6: row needs 2 coefficients, got 1"),
+    ], ids=["vars_count", "vars_positive", "row_no_eq", "row_two_rhs", "no_header",
+            "no_vars", "no_obj", "no_lb", "no_ub", "ints_range", "ints_duplicate",
+            "row_width"])
+    def test_malformed_input_exit_code(self, text, error):
+        err = io.StringIO()
+        code, out = run_cli(["solve"], stdin=text, err=err)
+        assert code == 2
+        assert out == ""
+        assert err.getvalue() == f"error: {error}\n"
+
+    def test_blank_and_comment_lines_skipped(self):
+        text = "\n".join(["", "# header next", "MILP v1", "   ", "# body next",
+                          *TWO_ROWS[1:4], "", "  # indented comment", *TWO_ROWS[4:], ""])
+        code, out = run_cli(["solve"], stdin=text)
+        assert code == 0
+        assert out == run_cli(["solve"], stdin="\n".join(TWO_ROWS) + "\n")[1]
+
 
 class TestCommands:
     def test_solve_tiny(self):
@@ -154,6 +205,14 @@ class TestCommands:
         solve_obj = [l for l in solve_out.splitlines() if l.startswith("objective=")]
         oracle_obj = [l for l in oracle_out.splitlines() if l.startswith("objective=")]
         assert solve_obj == oracle_obj
+
+    def test_readme_example_solves(self):
+        objectives = []
+        for command in ("solve", "oracle"):
+            code, out = run_cli([command], stdin=readme_instance())
+            assert code == 0
+            objectives.append([l for l in out.splitlines() if l.startswith("objective=")])
+        assert objectives == [["objective=3/2"]] * 2
 
     def test_infeasible_exit_code(self):
         code, out = run_cli(["solve"], stdin=INFEASIBLE_ILP)
@@ -261,7 +320,7 @@ class TestCommands:
 
     def test_simplex_failure_is_invariant_exit(self, monkeypatch):
         # with a pivot cap of 0 the root LP raises SolverError after one pivot
-        monkeypatch.setattr(simplex.lp_solve_exact, "__defaults__", (0,))
+        monkeypatch.setattr(simplex, "PIVOT_CAP", 0)
         err = io.StringIO()
         code, out = run_cli(["solve"], stdin=MIXED, err=err)
         assert code == 4

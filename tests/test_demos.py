@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the library in src/."""
+"""Every demo script runs to completion against the library in src/, in dev
+mode with warnings as errors."""
 
 import os
 import subprocess
@@ -16,6 +17,7 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    # dev mode with warnings as errors, as the library's own tests run in CI
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", str(demo)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

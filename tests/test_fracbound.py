@@ -178,7 +178,7 @@ class TestStructuredInverse:
                     dens = math.lcm(*(x.denominator for x in peel.b1_inv.entries()))
                     assert dens % peel.beta == 0
                     fr_b1 = fractionality(peel.b1_inv)
-                    assert peel.beta <= fr_b1 ** (peel.m1 ** 2)
+                    assert peel.beta <= fr_b1 ** (peel.b1_inv.rows ** 2)
                     peels += 1
                     scaled += peel.beta > 1
         assert peels > 0 and scaled > 0

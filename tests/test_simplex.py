@@ -279,11 +279,12 @@ class TestWarmStart:
                 _assert_basic_feasible(warm, a, b, lower, upper)
             parent = warm
 
-    def test_pivot_cap_applies(self):
+    def test_pivot_cap_applies(self, monkeypatch):
         (a, b, lower, upper, c), (lo, up), _ = WARM_PINNED["ratio_tie"]
         parent = lp_solve_exact(a, b, lower, upper, c)
+        monkeypatch.setattr(tdmilp.simplex, "PIVOT_CAP", 0)
         with pytest.raises(SolverError, match="pivot cap"):
-            lp_solve_exact(a, b, lo, up, c, 0, start=parent)
+            lp_solve_exact(a, b, lo, up, c, start=parent)
 
     def test_start_from_another_problem(self):
         (a, b, lower, upper, c), (lo, up), _ = WARM_PINNED["ratio_tie"]

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tdmilp import solver
@@ -18,7 +18,8 @@ from tdmilp.solver import (PipelineOptions, PipelineReport, _determinant_scale,
 from tdmilp.structure import CapExceededError
 from instances import (acceptance_corpus, dense_continuous, dense_continuous_exact,
                        nfold_one_integer, wide_certificate)
-from oracles import determinant_scale_by_enumeration, ilp_by_box_enumeration
+from oracles import (determinant_scale_by_enumeration, ilp_by_box_enumeration,
+                     milp_by_integer_branching)
 from strategies import mixed_instances
 
 
@@ -324,6 +325,15 @@ class TestScaleWitness:
     @given(inst=mixed_instances())
     def test_sound_scale_never_branches_on_a_continuous_column(self, inst):
         assert milp_solve(inst)[0].stats.continuous_branches == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(inst=mixed_instances())
+    def test_matches_branching_on_the_unscaled_instance(self, inst):
+        try:
+            res, _ = milp_solve(inst)
+        except CapExceededError:
+            assume(False)
+        assert (res.status, res.objective) == milp_by_integer_branching(inst)
 
     def test_unsound_scale_fails_the_witness(self, monkeypatch):
         # 2 y = 1 needs y = 1/2; a scale of 1 leaves the scaled y fractional
