@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 infeasible, 2 usage or parse error (a singular or
-malformed matrix included), 3 a configured cap was exceeded, 4 internal
+malformed matrix included), 3 a cap was exceeded, 4 internal
 invariant violation (a simplex failure such as its pivot cap, a branch on a
 continuous column under a certified scale, and a recovered solution that
 fails its check included).
@@ -45,14 +45,13 @@ def _format_x(parsed: ParsedInstance, x) -> list[str]:
 
 
 def _options(args) -> PipelineOptions:
-    return PipelineOptions(side=args.side, scale_override=args.scale,
-                           exact_td_cap=args.exact_td_cap, bit_cap=args.bit_cap)
+    return PipelineOptions(side=args.side, scale_override=args.scale)
 
 
 def _cmd_analyze(args) -> int:
     parsed = parse_instance(_read_input(args.path))
     matrix = parsed.instance.matrix
-    _, fs = choose_side(matrix, "auto", args.exact_td_cap)
+    _, fs = choose_side(matrix, "auto")
     print(td_stats(fs["primal"]).machine_line("primal"))
     print(td_stats(fs["dual"]).machine_line("dual"))
     print("block_structure:")
@@ -63,8 +62,8 @@ def _cmd_analyze(args) -> int:
 def _cmd_bound(args) -> int:
     parsed = parse_instance(_read_input(args.path))
     matrix = parsed.instance.matrix
-    side, fs = choose_side(matrix, args.side, args.exact_td_cap)
-    cert = frac_bound(matrix, fs[side], side, bit_cap=args.bit_cap)
+    side, fs = choose_side(matrix, args.side)
+    cert = frac_bound(matrix, fs[side], side)
     print(f"side={cert.side}")
     print(f"bound={cert.bound}")
     print(f"log2={cert.log2_bound:.6g}")
@@ -102,7 +101,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_invert(args) -> int:
     matrix = parse_matrix(_read_input(args.path))
-    f = decomposition_for_matrix(matrix, "primal", "auto", args.exact_td_cap)
+    f = decomposition_for_matrix(matrix, "primal")
     inv, _ = structured_inverse(matrix, f)
     if inv != mat_inverse(matrix):
         print("status=mismatch")
@@ -172,17 +171,15 @@ _FLAGS = {
     "side": (("--side",), dict(choices=("primal", "dual", "auto"), default="auto")),
     "scale": (("--scale",), dict(type=int, default=None,
                                  help="override the integralization scale")),
-    "exact_td_cap": (("--exact-td-cap",), dict(type=int, default=16, dest="exact_td_cap")),
-    "bit_cap": (("--bit-cap",), dict(type=int, default=10 ** 6, dest="bit_cap")),
     "seed": (("--seed",), dict(type=int, default=None)),
 }
 
 _COMMANDS = (
-    ("analyze", _cmd_analyze, ("exact_td_cap",)),
-    ("bound", _cmd_bound, ("side", "exact_td_cap", "bit_cap")),
-    ("solve", _cmd_solve, ("side", "scale", "exact_td_cap", "bit_cap")),
+    ("analyze", _cmd_analyze, ()),
+    ("bound", _cmd_bound, ("side",)),
+    ("solve", _cmd_solve, ("side", "scale")),
     ("oracle", _cmd_oracle, ()),
-    ("invert", _cmd_invert, ("exact_td_cap",)),
+    ("invert", _cmd_invert, ()),
     ("reduce", _cmd_reduce, ()),
     ("gen", _cmd_gen, ("seed",)),
     ("verify", _cmd_verify, ("seed",)),

@@ -10,8 +10,8 @@
 
 Numbers are integers or p/q rationals; rational coefficients in a row are
 cleared by scaling the whole row (rhs included).  Objective and bounds must
-be integral.  Comment lines start with '#'.  On write, columns come back in
-their original order.
+be integral.  Every keyword but row appears at most once.  Comment lines
+start with '#'.  On write, columns come back in their original order.
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ def parse_instance(text: str) -> ParsedInstance:
     lb = None
     ub = None
     rows: list[tuple[list[int], int, int]] = []
+    seen: set[str] = set()  # every keyword but row may appear once
     saw_header = False
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -93,6 +94,9 @@ def parse_instance(text: str) -> ParsedInstance:
             saw_header = True
             continue
         key, *rest = line.split()
+        if key in seen and key != "row":
+            raise ParseError(f"second {key} line", line_no)
+        seen.add(key)
         if key == "vars":
             if len(rest) != 1:
                 raise ParseError("vars takes one count", line_no)

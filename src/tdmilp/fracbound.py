@@ -30,7 +30,7 @@ _LOG2_E = math.log2(math.e)
 
 
 class CapExceededError(_BaseCapError):
-    """Certificate grew past the configured bit cap.
+    """Certificate grew past BIT_CAP bits.
 
     Carries ``log2_estimate``, an upper estimate of log2 of the true bound
     (may be ``inf`` when even the estimate overflows a float).
@@ -280,8 +280,11 @@ def structured_inverse(a: Matrix, f: TdDecomposition) -> tuple[Matrix, Structure
 # certificate arithmetic
 # ---------------------------------------------------------------------------
 
+BIT_CAP = 10 ** 6  # most bits a certificate value is tracked exactly
+
+
 class Bound:
-    """Integer bound tracked exactly up to a bit cap, with a log2 estimate.
+    """Integer bound tracked exactly up to BIT_CAP bits, with a log2 estimate.
 
     The log2 field is always an upper estimate of the true value; exact is
     None once the value outgrew the cap.
@@ -304,63 +307,63 @@ class Bound:
         return f"~2^{self.log2:.6g}"
 
 
-class _BoundArith:
-    """Bound arithmetic under a bit cap."""
+# Bound arithmetic: each step reads BIT_CAP when it runs
 
-    def __init__(self, bit_cap: int):
-        self.cap = bit_cap
+def _of(n: int) -> Bound:
+    if n < 1:
+        n = 1
+    return Bound(n if n.bit_length() <= BIT_CAP else None, float(n.bit_length()))
 
-    def of(self, n: int) -> Bound:
-        if n < 1:
-            n = 1
-        return Bound(n if n.bit_length() <= self.cap else None, float(n.bit_length()))
 
-    def mul(self, a: Bound, b: Bound) -> Bound:
-        log2 = a.log2 + b.log2
-        if a.exact is not None and b.exact is not None and log2 <= self.cap:
-            return self.of(a.exact * b.exact)
-        return Bound(None, log2)
+def _mul(a: Bound, b: Bound) -> Bound:
+    log2 = a.log2 + b.log2
+    if a.exact is not None and b.exact is not None and log2 <= BIT_CAP:
+        return _of(a.exact * b.exact)
+    return Bound(None, log2)
 
-    def add(self, a: Bound, b: Bound) -> Bound:
-        log2 = max(a.log2, b.log2) + 1
-        if a.exact is not None and b.exact is not None and log2 <= self.cap:
-            return self.of(a.exact + b.exact)
-        return Bound(None, log2)
 
-    def power(self, a: Bound, e: int) -> Bound:
-        if e == 0:
-            return self.of(1)
-        log2 = a.log2 * e
-        if a.exact is not None and log2 <= self.cap:
-            return self.of(a.exact ** e)
-        return Bound(None, log2)
+def _add(a: Bound, b: Bound) -> Bound:
+    log2 = max(a.log2, b.log2) + 1
+    if a.exact is not None and b.exact is not None and log2 <= BIT_CAP:
+        return _of(a.exact + b.exact)
+    return Bound(None, log2)
 
-    def factorial(self, a: Bound) -> Bound:
-        if a.exact is not None:
-            n = a.exact
-            if n <= 1:
-                return self.of(1)
-            if n.bit_length() > 1020:
-                return Bound(None, math.inf)
-            est = float(n) * (math.log2(n) - _LOG2_E) + math.log2(n)
-            if est <= self.cap and n <= 2 ** 22:
-                return self.of(math.factorial(n))
-            return Bound(None, max(est, 1.0))
-        # n! <= n^n, with n <= 2^log2
-        if a.log2 > 1020:
+
+def _power(a: Bound, e: int) -> Bound:
+    if e == 0:
+        return _of(1)
+    log2 = a.log2 * e
+    if a.exact is not None and log2 <= BIT_CAP:
+        return _of(a.exact ** e)
+    return Bound(None, log2)
+
+
+def _factorial(a: Bound) -> Bound:
+    if a.exact is not None:
+        n = a.exact
+        if n <= 1:
+            return _of(1)
+        if n.bit_length() > 1020:
             return Bound(None, math.inf)
-        return Bound(None, (2.0 ** a.log2) * max(a.log2, 1.0))
+        est = float(n) * (math.log2(n) - _LOG2_E) + math.log2(n)
+        if est <= BIT_CAP and n <= 2 ** 22:
+            return _of(math.factorial(n))
+        return Bound(None, max(est, 1.0))
+    # n! <= n^n, with n <= 2^log2
+    if a.log2 > 1020:
+        return Bound(None, math.inf)
+    return Bound(None, (2.0 ** a.log2) * max(a.log2, 1.0))
 
-    def maximum(self, items: Sequence[Bound]) -> Bound:
-        best = items[0]
-        for x in items[1:]:
-            if best.exact is not None and x.exact is not None:
-                if x.exact > best.exact:
-                    best = x
-            else:
-                merged = Bound(None, max(best.log2, x.log2))
-                best = merged
-        return best
+
+def _maximum(items: Sequence[Bound]) -> Bound:
+    best = items[0]
+    for x in items[1:]:
+        if best.exact is not None and x.exact is not None:
+            if x.exact > best.exact:
+                best = x
+        else:
+            best = Bound(None, max(best.log2, x.log2))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -423,21 +426,20 @@ def _build_skeleton(a: Matrix, f: TdDecomposition) -> _Skeleton:
     return _Skeleton(k1=bs.k1, max_block_rows=max(m_max, 1), children=kids)
 
 
-def _hadamard(ar: _BoundArith, k1: int, alpha: Bound) -> Bound:
-    return ar.power(ar.mul(ar.of(k1), alpha), k1)
+def _hadamard(k1: int, alpha: Bound) -> Bound:
+    return _power(_mul(_of(k1), alpha), k1)
 
 
-def _cert(skel: _Skeleton, alpha: Bound, extra_k1: int, ar: _BoundArith,
-          nodes: list[CertNode]) -> Bound:
+def _cert(skel: _Skeleton, alpha: Bound, extra_k1: int, nodes: list[CertNode]) -> Bound:
     k1 = skel.k1 + extra_k1
     if skel.is_base:
-        h = _hadamard(ar, k1, alpha)
+        h = _hadamard(k1, alpha)
         nodes.append(CertNode(k1=k1, base=True, hadamard=h.describe(),
                               q1=None, q2=None, betas=()))
         return h
 
     child_nodes: list[CertNode] = []
-    q2 = ar.maximum([_cert(c, alpha, 0, ar, child_nodes) for c in skel.children])
+    q2 = _maximum([_cert(c, alpha, 0, child_nodes) for c in skel.children])
 
     # peel loop: any block could be eliminated at any stage, so take the
     # worst hatted-strip bound each round while entry magnitudes grow
@@ -452,34 +454,33 @@ def _cert(skel: _Skeleton, alpha: Bound, extra_k1: int, ar: _BoundArith,
     beta_exp = max(k1, m_max) ** 2
     for _ in range(r_max):
         hat_nodes: list[CertNode] = []
-        h = ar.maximum([_cert(c, a_cur, k1, ar, hat_nodes) for c in skel.children])
+        h = _maximum([_cert(c, a_cur, k1, hat_nodes) for c in skel.children])
         hs.append(h)
-        beta = ar.power(h, beta_exp)
+        beta = _power(h, beta_exp)
         betas.append(beta)
-        mu = ar.power(ar.mul(ar.of(m_max), a_cur), m_max)
-        growth = ar.mul(ar.mul(ar.of(m_max * m_max), mu), ar.mul(a_cur, a_cur))
-        a_cur = ar.mul(beta, ar.add(a_cur, growth))
+        mu = _power(_mul(_of(m_max), a_cur), m_max)
+        growth = _mul(_mul(_of(m_max * m_max), mu), _mul(a_cur, a_cur))
+        a_cur = _mul(beta, _add(a_cur, growth))
 
-    q1 = _hadamard(ar, k1, a_cur)  # leftover border square after all peels
+    q1 = _hadamard(k1, a_cur)  # leftover border square after all peels
     for h, beta in zip(reversed(hs), reversed(betas)):
-        e3 = ar.factorial(h)  # fr of the zeroing factor built from the block inverse
-        inner = ar.factorial(ar.mul(ar.mul(e3, q1), h))
-        q1 = ar.mul(beta, inner)
+        e3 = _factorial(h)  # fr of the zeroing factor built from the block inverse
+        inner = _factorial(_mul(_mul(e3, q1), h))
+        q1 = _mul(beta, inner)
 
-    total = ar.factorial(ar.mul(q1, q2))
+    total = _factorial(_mul(q1, q2))
     nodes.append(CertNode(k1=k1, base=False, hadamard=None, q1=q1.describe(),
                           q2=q2.describe(), betas=tuple(b.describe() for b in betas),
                           children=tuple(child_nodes)))
     return total
 
 
-def frac_bound(a: Matrix, f: TdDecomposition, side: str = "primal",
-               bit_cap: int = 10 ** 6) -> FractionalityCertificate:
+def frac_bound(a: Matrix, f: TdDecomposition, side: str = "primal") -> FractionalityCertificate:
     """Certified bound on fr of the inverse of any invertible column submatrix.
 
     The dual side transposes the matrix first; f must then fit the transpose
     (``check_fit``), else StructureError.  Raises CapExceededError
-    with a log2 estimate when the bound outgrows bit_cap.
+    with a log2 estimate when the bound outgrows BIT_CAP bits.
     """
     if side == "dual":
         a = a.transpose()
@@ -487,17 +488,16 @@ def frac_bound(a: Matrix, f: TdDecomposition, side: str = "primal",
         raise ValueError(f"unknown side {side!r}")
     check_fit(a, f)
 
-    ar = _BoundArith(bit_cap)
     norm = a.max_abs()
     if norm.denominator != 1:
         raise ValueError("certificates are defined for integral matrices")
-    alpha = ar.of(int(norm))
+    alpha = _of(int(norm))
 
     nodes: list[CertNode] = []
     bounds = []
     for _, _, sub, f_sub in split_forest(a, f):
-        bounds.append(_cert(_build_skeleton(sub, f_sub), alpha, 0, ar, nodes))
-    result = ar.maximum(bounds) if bounds else ar.of(1)
+        bounds.append(_cert(_build_skeleton(sub, f_sub), alpha, 0, nodes))
+    result = _maximum(bounds) if bounds else _of(1)
 
     trace = tuple(nodes)
     if result.exact is None:
@@ -506,8 +506,7 @@ def frac_bound(a: Matrix, f: TdDecomposition, side: str = "primal",
                                     side=side, stats=td_stats(f), trace=trace)
 
 
-def frac_bound_special(a: int, t: int, family: str = "nfold",
-                       bit_cap: int = 10 ** 6) -> FractionalityCertificate:
+def frac_bound_special(a: int, t: int, family: str = "nfold") -> FractionalityCertificate:
     """Closed-form certificate for the two-level block families.
 
     For border width and block size at most t and entries bounded by a, the
@@ -521,9 +520,7 @@ def frac_bound_special(a: int, t: int, family: str = "nfold",
         raise ValueError("a and t must be positive")
     if family not in ("nfold", "twostage"):
         raise ValueError(f"unknown family {family!r}")
-    ar = _BoundArith(bit_cap)
-    value = ar.mul(ar.power(ar.of(a), t * (t + 1)),
-                   ar.power(ar.of(t), 2 * t * t * (t - 1)))
+    value = _mul(_power(_of(a), t * (t + 1)), _power(_of(t), 2 * t * t * (t - 1)))
     formula = "a**(t*(t+1)) * t**(2*t*t*(t-1))"
     if value.exact is None:
         raise CapExceededError(value.log2)

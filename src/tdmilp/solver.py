@@ -200,8 +200,6 @@ BASIS_CAP = 10 ** 4  # most column bases the determinant scale will try
 class PipelineOptions:
     side: str = "auto"  # primal | dual | auto
     scale_override: Optional[int] = None
-    exact_td_cap: int = 16
-    bit_cap: int = 10 ** 6
 
 
 @dataclass
@@ -299,8 +297,7 @@ def _certificate_scale(a_frac: Matrix, m: int, report: PipelineReport) -> int:
     return cut
 
 
-def choose_side(matrix: Matrix, side: str,
-                exact_td_cap: int) -> tuple[str, dict[str, TdDecomposition]]:
+def choose_side(matrix: Matrix, side: str) -> tuple[str, dict[str, TdDecomposition]]:
     """Resolve side and return it with the decompositions of both sides.
 
     "auto" takes the side of lower treedepth height, primal on ties; an
@@ -308,8 +305,7 @@ def choose_side(matrix: Matrix, side: str,
     """
     if side not in ("primal", "dual", "auto"):
         raise ValueError(f"unknown side {side!r}")
-    fs = {s: decomposition_for_matrix(matrix, s, "auto", exact_td_cap)
-          for s in ("primal", "dual")}
+    fs = {s: decomposition_for_matrix(matrix, s, "auto") for s in ("primal", "dual")}
     if side == "auto":
         side = "primal" if td_stats(fs["primal"]).height <= td_stats(fs["dual"]).height else "dual"
     return side, fs
@@ -337,7 +333,7 @@ def milp_solve(inst: MilpInstance,
     report = PipelineReport()
     full = inst.matrix
 
-    side, fs = choose_side(full, options.side, options.exact_td_cap)
+    side, fs = choose_side(full, options.side)
     f_primal, f_dual = fs["primal"], fs["dual"]
     report.primal_stats = td_stats(f_primal)
     report.dual_stats = td_stats(f_dual)
@@ -356,9 +352,9 @@ def milp_solve(inst: MilpInstance,
             if side == "primal":
                 cols = list(range(inst.z, inst.z + inst.q))
                 f_q = restrict_decomposition(f_primal, cols)
-                cert = frac_bound(inst.a_frac, f_q, "primal", bit_cap=options.bit_cap)
+                cert = frac_bound(inst.a_frac, f_q, "primal")
             else:
-                cert = frac_bound(inst.a_frac, f_dual, "dual", bit_cap=options.bit_cap)
+                cert = frac_bound(inst.a_frac, f_dual, "dual")
             if cert.bound <= M_CAP:
                 report.m_source = "certificate"
                 report.m_value = cert.bound

@@ -19,13 +19,15 @@ from typing import Iterable, Optional, Sequence
 
 from .linalg import DimensionError, Matrix
 
+EXACT_TD_CAP = 16  # largest component the exact treedepth search takes by default
+
 
 class StructureError(Exception):
     """Invalid graph/decomposition input."""
 
 
 class CapExceededError(Exception):
-    """A configured search or size cap was exceeded."""
+    """A search or size cap was exceeded."""
 
 
 class Graph:
@@ -290,7 +292,7 @@ def restrict_decomposition(f: TdDecomposition, vertices: Sequence[int]) -> TdDec
     return TdDecomposition(parent)
 
 
-def td_compute(g: Graph, mode: str = "exact", exact_cap: int = 16) -> TdDecomposition:
+def td_compute(g: Graph, mode: str = "exact", exact_cap: int = EXACT_TD_CAP) -> TdDecomposition:
     """Treedepth decomposition of a connected graph.
 
     Runs on adjacency bitmasks, the search of ``decomposition_for_matrix``.
@@ -465,7 +467,7 @@ def _td_heuristic(mask: int, adj: Sequence[int], parent: list[Optional[int]],
 
 
 def decomposition_for_matrix(a: Matrix, side: str = "primal", mode: str = "auto",
-                             exact_cap: int = 16) -> TdDecomposition:
+                             exact_cap: int = EXACT_TD_CAP) -> TdDecomposition:
     """Decomposition of a matrix graph, handling disconnected graphs.
 
     Builds the adjacency bitmasks of the primal or dual graph straight from

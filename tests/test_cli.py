@@ -64,7 +64,7 @@ lb 0 0 0
 ub 1 1 1
 """
 
-# the certificate of this chain outgrows the default bit cap
+# the certificate of this chain outgrows fracbound.BIT_CAP
 CHAIN = """MILP v1
 vars 4
 obj 0 0 0 0
@@ -174,9 +174,15 @@ class TestParseInstance:
         (two_rows_with(3, "ints 0 2"), "line 3: integer index 2 out of range"),
         (two_rows_with(3, "ints 1 1"), "line 3: duplicate integer indices"),
         (two_rows_with(6, "row 1 = 0"), "line 6: row needs 2 coefficients, got 1"),
+        # line 9 repeats a keyword line: an error, not a replacement
+        (two_rows_with(9, "vars 2"), "line 9: second vars line"),
+        (two_rows_with(9, "ints 1"), "line 9: second ints line"),
+        (two_rows_with(9, "obj 5 5"), "line 9: second obj line"),
+        (two_rows_with(9, "lb 1 1"), "line 9: second lb line"),
+        (two_rows_with(9, "ub 0 0"), "line 9: second ub line"),
     ], ids=["vars_count", "vars_positive", "row_no_eq", "row_two_rhs", "no_header",
             "no_vars", "no_obj", "no_lb", "no_ub", "ints_range", "ints_duplicate",
-            "row_width"])
+            "row_width", "vars_twice", "ints_twice", "obj_twice", "lb_twice", "ub_twice"])
     def test_malformed_input_exit_code(self, text, error):
         err = io.StringIO()
         code, out = run_cli(["solve"], stdin=text, err=err)
@@ -390,9 +396,12 @@ class TestFlags:
         ["analyze", "--side", "dual"],
         ["analyze", "--bit-cap", "5"],
         ["bound", "--scale", "2"],
+        ["bound", "--exact-td-cap", "8"],
         ["solve", "--seed", "3"],
+        ["solve", "--bit-cap", "5"],
         ["oracle", "--exact-td-cap", "8"],
         ["invert", "--side", "primal"],
+        ["invert", "--exact-td-cap", "8"],
         ["reduce", "--scale", "2"],
         ["gen", "lemma4_a1", "--n", "3", "--side", "dual"],
         ["verify", "lemma4_a1", "--n", "3", "--exact-td-cap", "8"],
@@ -405,12 +414,11 @@ class TestFlags:
         assert "unrecognized arguments" in err.getvalue()
 
     @pytest.mark.parametrize("args, stdin", [
-        (["analyze", "--exact-td-cap", "8"], MIXED),
-        (["bound", "--side", "dual", "--exact-td-cap", "8", "--bit-cap", "100"], MIXED),
-        (["solve", "--side", "primal", "--scale", "2", "--exact-td-cap", "8",
-          "--bit-cap", "100"], MIXED),
+        (["analyze"], MIXED),
+        (["bound", "--side", "dual"], MIXED),
+        (["solve", "--side", "primal", "--scale", "2"], MIXED),
         (["oracle"], MIXED),
-        (["invert", "--exact-td-cap", "8"], "2 -1\n0 2\n"),
+        (["invert"], "2 -1\n0 2\n"),
         (["reduce"], INFEASIBLE_ILP),
         (["gen", "lemma4_a1", "--n", "3", "--seed", "1"], ""),
         (["verify", "lemma4_a1", "--n", "3", "--seed", "1"], ""),

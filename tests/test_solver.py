@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tdmilp import solver
+from tdmilp import fracbound, solver
 from tdmilp.integralize import (FeasibilityError, MilpInstance, choose_scale, integralize,
                                 pure_ilp, recover)
 from tdmilp.linalg import Matrix, mat_det
@@ -15,7 +15,7 @@ from tdmilp.simplex import SolverError, lp_solve_exact
 from tdmilp.solver import (PipelineOptions, PipelineReport, _determinant_scale,
                            _most_fractional, choose_side, ilp_solve, milp_oracle, milp_solve,
                            vertex_enumerate)
-from tdmilp.structure import CapExceededError
+from tdmilp.structure import CapExceededError, TdDecomposition
 from instances import (acceptance_corpus, dense_continuous, dense_continuous_exact,
                        nfold_one_integer, wide_certificate)
 from oracles import (determinant_scale_by_enumeration, ilp_by_box_enumeration,
@@ -357,6 +357,19 @@ class TestScaleWitness:
         assert not any("scale cut" in note for note in report.notes)
         assert (res.status, res.x, res.objective) == (ora.status, ora.x, ora.objective)
 
+    def test_capped_certificate_falls_back_to_the_determinant_scale(self, monkeypatch):
+        # the bound arithmetic reads BIT_CAP when it runs, so one bit caps
+        # the certificate of 2 y = 1 at its first value
+        monkeypatch.setattr(fracbound, "BIT_CAP", 1)
+        inst = MilpInstance(a_int=Matrix([[]], cols=0), a_frac=Matrix([[2]]),
+                            b=(1,), c=(1,), lower=(0,), upper=(1,))
+        with pytest.raises(fracbound.CapExceededError):
+            fracbound.frac_bound(inst.a_frac, TdDecomposition([None]))
+        res, report = milp_solve(inst)
+        assert report.notes == ["certificate capped at log2~3; determinant scale"]
+        assert (report.m_source, report.m_value, report.scale) == ("determinant", 2, 2)
+        assert (res.status, res.objective) == ("optimal", Fraction(1, 2))
+
     def test_override_may_branch_on_a_continuous_column(self):
         inst = MilpInstance(a_int=Matrix([[]], cols=0), a_frac=Matrix([[2]]),
                             b=(1,), c=(1,), lower=(0,), upper=(1,))
@@ -387,7 +400,7 @@ class TestChooseSide:
     def test_an_explicit_side_still_returns_both_decompositions(self):
         a = Matrix([[1, 1, 0], [0, 1, 1]])
         for side in ("primal", "dual", "auto"):
-            chosen, fs = choose_side(a, side, 16)
+            chosen, fs = choose_side(a, side)
             assert sorted(fs) == ["dual", "primal"]
             assert chosen == ("primal" if side == "auto" else side)
 
