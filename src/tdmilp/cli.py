@@ -44,10 +44,6 @@ def _format_x(parsed: ParsedInstance, x) -> list[str]:
     return [f"x{i}={v}" for i, v in enumerate(ordered)]
 
 
-def _options(args) -> PipelineOptions:
-    return PipelineOptions(side=args.side, scale_override=args.scale)
-
-
 def _cmd_analyze(args) -> int:
     parsed = parse_instance(_read_input(args.path))
     matrix = parsed.instance.matrix
@@ -76,7 +72,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_solve(args) -> int:
     parsed = parse_instance(_read_input(args.path))
-    res, report = milp_solve(parsed.instance, _options(args))
+    res, report = milp_solve(parsed.instance, PipelineOptions(side=args.side))
     print(f"status={res.status}")
     if res.status == "optimal":
         for line in _format_x(parsed, res.x):
@@ -169,15 +165,13 @@ def _cmd_verify(args) -> int:
 # a usage error
 _FLAGS = {
     "side": (("--side",), dict(choices=("primal", "dual", "auto"), default="auto")),
-    "scale": (("--scale",), dict(type=int, default=None,
-                                 help="override the integralization scale")),
     "seed": (("--seed",), dict(type=int, default=None)),
 }
 
 _COMMANDS = (
     ("analyze", _cmd_analyze, ()),
     ("bound", _cmd_bound, ("side",)),
-    ("solve", _cmd_solve, ("side", "scale")),
+    ("solve", _cmd_solve, ("side",)),
     ("oracle", _cmd_oracle, ()),
     ("invert", _cmd_invert, ()),
     ("reduce", _cmd_reduce, ()),

@@ -27,19 +27,24 @@ from .structure import (CapExceededError, TdDecomposition, TdStats, _bits, _mask
                         _matrix_adjacency, _supports, decomposition_for_matrix,
                         restrict_decomposition, td_stats)
 
+M_CAP = 10 ** 4  # largest certificate the scaling stage will accept
+BASIS_CAP = 10 ** 4  # most column bases the determinant scale will try
+VERTEX_CAP = 12  # most variables vertex_enumerate will take
+ORACLE_BOX_CAP = 10 ** 6  # most integer assignments milp_oracle will enumerate
 
-def vertex_enumerate(a: Matrix, b: Sequence, lower: Sequence, upper: Sequence,
-                     cap: int = 12) -> list[tuple[int | Fraction, ...]]:
+
+def vertex_enumerate(a: Matrix, b: Sequence, lower: Sequence,
+                     upper: Sequence) -> list[tuple[int | Fraction, ...]]:
     """All basic feasible solutions of ``a x = b, lower <= x <= upper``.
 
     Every invertible column basis is solved against every lower/upper
     assignment of the non-basic variables; duplicates are removed.  Refuses
-    systems with more than cap variables.  The data goes through
+    systems with more than VERTEX_CAP variables.  The data goes through
     ``rational``, so a float raises TypeError.
     """
     n = a.cols
-    if n > cap:
-        raise CapExceededError(f"vertex enumeration limited to {cap} variables, got {n}")
+    if n > VERTEX_CAP:
+        raise CapExceededError(f"vertex enumeration limited to {VERTEX_CAP} variables, got {n}")
     lo = [rational(v) for v in lower]
     up = [rational(v) for v in upper]
     if any(l > u for l, u in zip(lo, up)):
@@ -162,17 +167,17 @@ def ilp_solve(inst: IlpInstance, z: Optional[int] = None) -> SolveResult:
                        basis=incumbent.basis, stats=stats)
 
 
-def milp_oracle(inst: MilpInstance, box_cap: int = 10 ** 6) -> SolveResult:
+def milp_oracle(inst: MilpInstance) -> SolveResult:
     """Ground truth by enumerating every integer assignment.
 
     For each assignment the continuous remainder is an exact LP; the overall
-    best solve wins.  Refuses integer boxes with volume beyond box_cap.
+    best solve wins.  Refuses integer boxes with volume beyond ORACLE_BOX_CAP.
     """
     z = inst.z
     if z == 0:
         return lp_solve_exact(inst.matrix, inst.b, inst.lower, inst.upper, inst.c)
-    if math.prod(inst.upper[j] - inst.lower[j] + 1 for j in range(z)) > box_cap:
-        raise CapExceededError(f"integer box volume exceeds {box_cap}")
+    if math.prod(inst.upper[j] - inst.lower[j] + 1 for j in range(z)) > ORACLE_BOX_CAP:
+        raise CapExceededError(f"integer box volume exceeds {ORACLE_BOX_CAP}")
     best_obj: Optional[Fraction] = None
     best_x: Optional[tuple[Fraction, ...]] = None
     ranges = [range(inst.lower[j], inst.upper[j] + 1) for j in range(z)]
@@ -192,14 +197,9 @@ def milp_oracle(inst: MilpInstance, box_cap: int = 10 ** 6) -> SolveResult:
     return SolveResult(status="optimal", x=best_x, objective=best_obj)
 
 
-M_CAP = 10 ** 4  # largest certificate the scaling stage will accept
-BASIS_CAP = 10 ** 4  # most column bases the determinant scale will try
-
-
 @dataclass
 class PipelineOptions:
     side: str = "auto"  # primal | dual | auto
-    scale_override: Optional[int] = None
 
 
 @dataclass
@@ -209,7 +209,7 @@ class PipelineReport:
     side: str = ""
     primal_stats: Optional[TdStats] = None
     dual_stats: Optional[TdStats] = None
-    m_source: str = ""  # certificate | determinant | trivial | override
+    m_source: str = ""  # certificate | determinant | trivial
     m_value: int = 1
     scale: int = 1
     ilp_nodes: int = 0
@@ -282,14 +282,40 @@ def _determinant_scale(a_frac: Matrix) -> tuple[int, int]:
     return scale, largest
 
 
-def _certificate_scale(a_frac: Matrix, m: int, report: PipelineReport) -> int:
-    """gcd(lcm(1..m), determinant scale): both are multiples of every vertex
-    denominator, so their gcd is too.  lcm(1..m) alone when the determinant
-    scale passes BASIS_CAP."""
-    scale = choose_scale(m)
+def _grid_scale(a_frac: Matrix, f: TdDecomposition, side: str,
+                report: PipelineReport) -> int:
+    """The scale of the continuous columns; its source, m and notes go to report.
+
+    The certificate M counts when it is at most M_CAP, the determinant scale
+    D when it stays within BASIS_CAP; each is computed once.  lcm(1..M) and
+    D are both multiples of every vertex denominator, so with both the
+    scale is their gcd; with one, it is that one (m is then M, or the
+    largest |det B|).  With neither, the determinant's CapExceededError
+    carries the partial report.
+    """
+    m = None
     try:
-        det_scale, _ = _determinant_scale(a_frac)
-    except CapExceededError:
+        cert = frac_bound(a_frac, f, side)
+        if cert.bound <= M_CAP:
+            m = cert.bound
+        else:
+            report.notes.append("certificate exceeded usable cap; determinant scale")
+    except CertCapError as exc:
+        report.notes.append(
+            f"certificate capped at log2~{exc.log2_estimate:.3g}; determinant scale")
+    try:
+        det_scale, largest = _determinant_scale(a_frac)
+    except CapExceededError as exc:
+        if m is None:
+            exc.report = report  # partial report still available to callers
+            raise
+        det_scale = None
+    if m is None:
+        report.m_source, report.m_value = "determinant", largest
+        return det_scale
+    report.m_source, report.m_value = "certificate", m
+    scale = choose_scale(m)
+    if det_scale is None:
         return scale
     cut = math.gcd(scale, det_scale)
     if cut < scale:
@@ -316,67 +342,36 @@ def milp_solve(inst: MilpInstance,
     """Solve a mixed instance by scaling it onto the integer grid.
 
     Stages: analyse both interaction graphs and pick the shallower side;
-    obtain a scale (1 for a pure ILP; for a fractionality certificate M of
-    at most M_CAP, gcd(lcm(1..M), determinant scale), or lcm(1..M) alone
-    when the determinant scale passes BASIS_CAP; otherwise the determinant
-    scale, the lcm of the continuous part's basis determinants, computed as
-    a product over the components of its kept rows); solve the scaled pure
-    ILP by integer-first branch and bound; recover and validate the mixed
-    optimum, whose objective is the scaled one over the scale.
+    obtain a scale (1 for a pure ILP, else ``_grid_scale``'s, from the
+    fractionality certificate and the determinant scale); solve the scaled
+    pure ILP by integer-first branch and bound; recover and validate the
+    mixed optimum, whose objective is the scaled one over the scale.
 
-    Both scales are sound, so by Cramer's rule a node whose integer columns
+    Every scale is sound, so by Cramer's rule a node whose integer columns
     are integral is a vertex with integral continuous columns too.  A branch
-    on a continuous column under either scale therefore raises SolverError;
-    a ``scale_override`` grid is the caller's choice and is not checked.
+    on a continuous column therefore raises SolverError.
     """
     options = options or PipelineOptions()
     report = PipelineReport()
-    full = inst.matrix
 
-    side, fs = choose_side(full, options.side)
-    f_primal, f_dual = fs["primal"], fs["dual"]
-    report.primal_stats = td_stats(f_primal)
-    report.dual_stats = td_stats(f_dual)
+    side, fs = choose_side(inst.matrix, options.side)
+    report.primal_stats = td_stats(fs["primal"])
+    report.dual_stats = td_stats(fs["dual"])
     report.side = side
 
     if inst.q == 0:
         scale = 1
         report.m_source = "trivial"
-    elif options.scale_override is not None:
-        scale = options.scale_override
-        report.m_source = "override"
-        report.m_value = scale
     else:
-        scale = None
-        try:
-            if side == "primal":
-                cols = list(range(inst.z, inst.z + inst.q))
-                f_q = restrict_decomposition(f_primal, cols)
-                cert = frac_bound(inst.a_frac, f_q, "primal")
-            else:
-                cert = frac_bound(inst.a_frac, f_dual, "dual")
-            if cert.bound <= M_CAP:
-                report.m_source = "certificate"
-                report.m_value = cert.bound
-                scale = _certificate_scale(inst.a_frac, cert.bound, report)
-            else:
-                report.notes.append("certificate exceeded usable cap; determinant scale")
-        except CertCapError as exc:
-            report.notes.append(
-                f"certificate capped at log2~{exc.log2_estimate:.3g}; determinant scale")
-        if scale is None:
-            try:
-                scale, report.m_value = _determinant_scale(inst.a_frac)
-            except CapExceededError as exc:
-                exc.report = report  # partial report still available to callers
-                raise
-            report.m_source = "determinant"
+        f = fs["dual"] if side == "dual" else restrict_decomposition(
+            fs["primal"], range(inst.z, inst.z + inst.q))
+        scale = _grid_scale(inst.a_frac, f, side, report)
     report.scale = scale
 
     scaled = integralize(inst, scale)
     ilp_res = ilp_solve(scaled, z=inst.z)
     report.ilp_nodes = ilp_res.stats.nodes
-    if ilp_res.stats.continuous_branches and report.m_source in ("certificate", "determinant"):
+    if ilp_res.stats.continuous_branches:
         raise SolverError(f"branched on a continuous column under m_source={report.m_source} "
                           f"m={_number_text(report.m_value)} scale={_number_text(scale)}")
     if ilp_res.status != "optimal":

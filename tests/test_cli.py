@@ -11,8 +11,8 @@ from tdmilp.cli import main
 from tdmilp.fileformat import ParseError, parse_instance, serialize_instance
 from tdmilp.integralize import FeasibilityError
 from tdmilp.linalg import Matrix
-from instances import (dense_continuous, dense_continuous_exact, milp_text,
-                       nfold_one_integer, wide_certificate)
+from instances import (acceptance_corpus, dense_continuous, dense_continuous_exact,
+                       milp_text, nfold_one_integer, wide_certificate)
 
 
 def run_cli(args, stdin="", err=None):
@@ -303,12 +303,6 @@ class TestCommands:
         assert code == 0
         assert "PASS" in out
 
-    def test_scale_override_flag(self):
-        code, out = run_cli(["solve", "--scale", "4"], stdin=TINY)
-        assert code == 0
-        assert "scale=4" in out and "m_source=override" in out
-        assert "x0=1/2" in out
-
     def test_solve_wide_integer_box(self):
         code, out = run_cli(["solve", "--format", "machine"],
                             stdin=milp_text(nfold_one_integer(free_column=True)))
@@ -341,6 +335,14 @@ class TestCommands:
         lines = out.splitlines()
         assert code == 0
         assert {"m_source=certificate", "m=9950", "scale=9950"} <= set(lines)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: Bound.describe() writes the "
+                       "certificate's nodes past the int-to-str digit limit (exit 2)")
+    def test_bound_primal_on_acceptance_instance_0(self):
+        code, out = run_cli(["bound", "--side", "primal"],
+                            stdin=milp_text(next(acceptance_corpus(1))))
+        assert code == 0
+        assert out.startswith("side=primal\n")
 
     def test_scale_witness_is_invariant_exit(self, monkeypatch):
         # a scale of 1 cannot hold x0 = 1/2, so the solve branches on x0
@@ -403,6 +405,7 @@ class TestFlags:
         ["invert", "--side", "primal"],
         ["invert", "--exact-td-cap", "8"],
         ["reduce", "--scale", "2"],
+        ["solve", "--scale", "2"],
         ["gen", "lemma4_a1", "--n", "3", "--side", "dual"],
         ["verify", "lemma4_a1", "--n", "3", "--exact-td-cap", "8"],
     ], ids=lambda args: " ".join(args))
@@ -416,7 +419,7 @@ class TestFlags:
     @pytest.mark.parametrize("args, stdin", [
         (["analyze"], MIXED),
         (["bound", "--side", "dual"], MIXED),
-        (["solve", "--side", "primal", "--scale", "2"], MIXED),
+        (["solve", "--side", "primal"], MIXED),
         (["oracle"], MIXED),
         (["invert"], "2 -1\n0 2\n"),
         (["reduce"], INFEASIBLE_ILP),

@@ -189,10 +189,12 @@ class TestMilpOracle:
         res = milp_oracle(inst)
         assert res.objective == 3
 
-    def test_box_cap(self):
+    def test_box_cap(self, monkeypatch):
+        # the cap is read when the oracle runs, so the message names 100
+        monkeypatch.setattr(solver, "ORACLE_BOX_CAP", 100)
         inst = pure_ilp(Matrix([[1] * 8]), (0,), (0,) * 8, (-10,) * 8, (10,) * 8)
-        with pytest.raises(CapExceededError):
-            milp_oracle(inst, box_cap=100)
+        with pytest.raises(CapExceededError, match="exceeds 100$"):
+            milp_oracle(inst)
 
 
 class TestDeterminantScale:
@@ -370,12 +372,17 @@ class TestScaleWitness:
         assert (report.m_source, report.m_value, report.scale) == ("determinant", 2, 2)
         assert (res.status, res.objective) == ("optimal", Fraction(1, 2))
 
-    def test_override_may_branch_on_a_continuous_column(self):
-        inst = MilpInstance(a_int=Matrix([[]], cols=0), a_frac=Matrix([[2]]),
-                            b=(1,), c=(1,), lower=(0,), upper=(1,))
-        res, report = milp_solve(inst, PipelineOptions(scale_override=1))
-        assert res.status == "infeasible" and report.m_source == "override"
-        assert res.stats.continuous_branches == 1
+    def test_certificate_past_the_usable_cap_takes_the_determinant_scale(self):
+        # x0 + 10001 y = 1: the certificate of the continuous column is
+        # finite but above M_CAP, so the determinant scale 10001 is used
+        inst = MilpInstance(a_int=Matrix([[1]]), a_frac=Matrix([[10001]]), b=(1,),
+                            c=(1, 1), lower=(0, 0), upper=(1, 1))
+        assert solver.M_CAP < fracbound.frac_bound(inst.a_frac, TdDecomposition([None])).bound
+        res, report = milp_solve(inst)
+        assert report.notes == ["certificate exceeded usable cap; determinant scale"]
+        assert (report.m_source, report.m_value, report.scale) == ("determinant", 10001, 10001)
+        assert (res.status, res.x, res.objective) == ("optimal", (0, Fraction(1, 10001)),
+                                                      Fraction(1, 10001))
 
     @pytest.mark.parametrize("z, branched, continuous", [(1, 0, 0), (None, 1, 0), (0, 1, 1)])
     def test_integer_first_order(self, monkeypatch, z, branched, continuous):
@@ -418,8 +425,6 @@ class TestPipeline:
         direct = ilp_solve(inst)
         assert (res.x, res.objective) == (direct.x, direct.objective)
         assert report.m_source == "trivial" and report.scale == 1
-        _, report = milp_solve(inst, PipelineOptions(scale_override=3))
-        assert report.m_source == "trivial" and report.scale == 1  # no grid to override
 
     def test_single_continuous_example(self):
         inst = MilpInstance(a_int=Matrix([[]], cols=0), a_frac=Matrix([[2]]),
@@ -477,13 +482,6 @@ class TestPipeline:
         assert all(lo <= v <= up for lo, v, up in zip(inst.lower, x, inst.upper))
         assert all(v.denominator == 1 for v in x[:inst.z])
         assert sum(c * v for c, v in zip(inst.c, x)) == res.objective
-
-    def test_scale_override(self):
-        inst = MilpInstance(a_int=Matrix([[]], cols=0), a_frac=Matrix([[2]]),
-                            b=(1,), c=(1,), lower=(0,), upper=(1,))
-        res, report = milp_solve(inst, PipelineOptions(scale_override=4))
-        assert report.m_source == "override" and report.scale == 4
-        assert res.x == (Fraction(1, 2),)
 
     def test_side_forced(self):
         inst = random_mixed_instance(random.Random(4))
