@@ -21,7 +21,7 @@ desc = generate(FamilySpec("lemma5_p2", k=7))
 print("\nsquared distance to 1/7 at 1/7:", desc.objective_value((Fraction(1, 7),)))
 
 # and a bounded convex cubic has an irrational minimiser: no scaling helps
-report = verify_family(FamilySpec("lemma5_p3"), generate(FamilySpec("lemma5_p3")))
+report = verify_family(FamilySpec("lemma5_p3"))
 print("\ncubic verification:")
 print(report.to_text())
 

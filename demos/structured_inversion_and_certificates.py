@@ -1,14 +1,11 @@
 #!/usr/bin/env python3
 # The structured inversion recursion and the denominator certificates it
-# yields: what can be bounded, what explodes, and the two-level shortcut.
+# yields: what can be bounded and what explodes.
 
-import math
-import random
 from itertools import combinations
 
-from tdmilp import (CapExceededError, FamilySpec, frac_bound,
-                    frac_bound_special, fractionality, generate, mat_det,
-                    mat_inverse, Matrix, decomposition_for_matrix,
+from tdmilp import (CapExceededError, Matrix, decomposition_for_matrix,
+                    frac_bound, fractionality, mat_det, mat_inverse,
                     structured_inverse)
 
 # invert through the block structure instead of plain elimination; the result
@@ -47,24 +44,3 @@ try:
     print("\ntwo-level certificate stayed exact")
 except CapExceededError as exc:
     print("\ntwo-level certificate capped, log2 ~", exc.log2_estimate)
-
-# for bordered block families with bricks of size at most t the closed-form
-# two-level certificate stays tiny, and at t=1 it is exactly a^2
-for a_norm, t in [(1, 1), (2, 1), (2, 2), (3, 2)]:
-    c = frac_bound_special(a_norm, t)
-    print(f"special bound a={a_norm} t={t}: {c.bound}")
-
-# empirical check of the t=1 case: every single-entry-brick system with
-# entries in [-2, 2] keeps inverse denominators at or below 4 = a^2
-rng = random.Random(0)
-worst = 1
-for _ in range(500):
-    b1, b2, d1, d2 = (rng.randint(-2, 2) for _ in range(4))
-    m = Matrix([[b1, d1, 0], [b2, 0, d2]])
-    for cols in combinations(range(3), 2):
-        sub = m.submatrix(range(2), cols)
-        if mat_det(sub) != 0:
-            worst = max(worst, fractionality(mat_inverse(sub)))
-print("sampled worst fr:", worst, "<= special bound", frac_bound_special(2, 1).bound)
-assert worst <= frac_bound_special(2, 1).bound
-assert math.isfinite(frac_bound_special(2, 2).log2_bound)

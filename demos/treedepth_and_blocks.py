@@ -35,8 +35,10 @@ for i, blk in enumerate(bs.blocks):
 # row/column permutation
 assert bs.reassemble() == a.submatrix(bs.row_order, bs.col_order)
 
-# each border-extended strip gets a decomposition one topological level
-# shallower, which is what drives the recursion everywhere else
+# each border-extended ("hatted") strip puts the border columns in front of
+# one block's, decomposed by the border path grafted above the block's tree;
+# the recursions graft with graft_path_above directly, so the strips are for
+# display and the tests
 for strip, hat in hatted_blocks(bs):
     print("\nstrip:")
     print(strip.to_text())

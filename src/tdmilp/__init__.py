@@ -2,8 +2,7 @@
 
 from .blocks import Block, BlockStructure, hatted_blocks, primal_decompose, structure_trace
 from .fracbound import (CapExceededError, FractionalityCertificate,
-                        StructuredInverseTrace, frac_bound, frac_bound_special,
-                        structured_inverse)
+                        StructuredInverseTrace, frac_bound, structured_inverse)
 from .families import (FamilySpec, MipDescriptor, VerificationReport, generate,
                        reduce_ilp_to_milp, verify_family)
 from .fileformat import ParsedInstance, ParseError, parse_instance, serialize_instance
@@ -29,7 +28,7 @@ __all__ = [
     "StructuredInverseTrace", "TdDecomposition", "TdStats",
     "VerificationReport", "choose_scale", "connected_components",
     "decomposition_for_matrix", "dual_graph", "frac_bound",
-    "frac_bound_special", "fractionality", "generate", "hatted_blocks",
+    "fractionality", "generate", "hatted_blocks",
     "ilp_solve", "integralize", "lp_solve_exact", "mat_det", "mat_inverse",
     "mat_rank", "milp_oracle", "milp_solve", "parse_instance", "parse_matrix",
     "primal_decompose", "primal_graph", "pure_ilp", "rational",

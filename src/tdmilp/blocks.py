@@ -149,10 +149,10 @@ def hatted_blocks(b: BlockStructure) -> list[tuple[Matrix, TdDecomposition]]:
     return out
 
 
-def structure_trace(a: Matrix, f: TdDecomposition, indent: str = "") -> str:
+def structure_trace(a: Matrix, f: TdDecomposition) -> str:
     """Indented tree rendering of the recursive block structure."""
     lines: list[str] = []
-    _trace_forest(a, f, indent, lines)
+    _trace_forest(a, f, "", lines)
     return "\n".join(lines)
 
 

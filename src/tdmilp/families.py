@@ -20,6 +20,7 @@ from .structure import connected_components, dual_graph, primal_graph
 
 MATRIX_FAMILIES = ("lemma4_a1", "lemma4_a2", "nfold", "twostage", "random_td")
 DESCRIPTOR_FAMILIES = ("lemma5_p1", "lemma5_p2", "lemma5_p3")
+VERIFY_SAMPLES = 1000  # points the sampled optimality checks of verify_family draw
 
 
 @dataclass(frozen=True)
@@ -280,16 +281,16 @@ def _sample_simplex_points(rng: random.Random, n: int, count: int) -> list[tuple
     return out
 
 
-def _minimize_cubic(desc: MipDescriptor, iterations: int = 200) -> float:
-    """Float ternary search on [lower, upper] (verification only; the solver
-    path itself never touches floats)."""
+def _minimize_cubic(desc: MipDescriptor) -> float:
+    """Float ternary search on [lower, upper], 200 rounds (verification only;
+    the solver path itself never touches floats)."""
     c0, c1, c2, c3 = desc.objective[1]
 
     def f(x: float) -> float:
         return c0 + c1 * x + c2 * x * x + c3 * x ** 3
 
     lo, hi = float(desc.lower[0]), float(desc.upper[0])
-    for _ in range(iterations):
+    for _ in range(200):
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3
         if f(m1) <= f(m2):
@@ -299,12 +300,17 @@ def _minimize_cubic(desc: MipDescriptor, iterations: int = 200) -> float:
     return (lo + hi) / 2
 
 
-def verify_family(spec: FamilySpec, generated: Generated,
-                  samples: int = 1000, seed: int = 0) -> VerificationReport:
-    """Check the claimed properties of a generated family member."""
+def verify_family(spec: FamilySpec) -> VerificationReport:
+    """Generate the family member selected by spec and check its claimed
+    properties.
+
+    The sampled checks draw VERIFY_SAMPLES points from a generator seeded
+    with ``spec.seed`` (0 when unset).
+    """
     fam = spec.family
+    generated = generate(spec)
     checks: list[Check] = []
-    rng = random.Random(seed)
+    rng = random.Random(spec.seed or 0)
 
     if fam == "lemma4_a1":
         n = spec.n
@@ -332,16 +338,16 @@ def verify_family(spec: FamilySpec, generated: Generated,
         checks.append(Check(f"uniform objective is 1/{n}", value == Fraction(1, n),
                             f"value={value}"))
         worst = min((generated.objective_value(p)
-                     for p in _sample_simplex_points(rng, n, samples)),
+                     for p in _sample_simplex_points(rng, n, VERIFY_SAMPLES)),
                     default=value)
-        checks.append(Check(f"{samples} sampled feasible points never beat it",
+        checks.append(Check(f"{VERIFY_SAMPLES} sampled feasible points never beat it",
                             worst >= value, f"best sample={worst}"))
     elif fam == "lemma5_p2":
         k = spec.k
         at_min = generated.objective_value((Fraction(1, k),))
         checks.append(Check(f"objective vanishes at 1/{k}", at_min == 0))
         strict = True
-        for _ in range(min(samples, 200)):
+        for _ in range(200):
             x = Fraction(rng.randint(-64, 64), rng.randint(1, 64))
             if x != Fraction(1, k) and generated.objective_value((x,)) <= 0:
                 strict = False

@@ -402,7 +402,6 @@ class FractionalityCertificate:
     side: str
     stats: "TdStats"
     trace: tuple[CertNode, ...]
-    formula: Optional[str] = None
 
 
 @dataclass
@@ -504,29 +503,3 @@ def frac_bound(a: Matrix, f: TdDecomposition, side: str = "primal") -> Fractiona
         raise CapExceededError(result.log2, trace=trace[-1] if trace else None)
     return FractionalityCertificate(bound=result.exact, log2_bound=result.log2,
                                     side=side, stats=td_stats(f), trace=trace)
-
-
-def frac_bound_special(a: int, t: int, family: str = "nfold") -> FractionalityCertificate:
-    """Closed-form certificate for the two-level block families.
-
-    For border width and block size at most t and entries bounded by a, the
-    value is ``a**(t*(t+1)) * t**(2*t*t*(t-1))``: the first factor bounds the
-    determinant products of one border block column and up to t block entries
-    per inverse entry, the second absorbs the transversal count of the border
-    square.  At t=1 this reduces to a**2, which is exact for single-entry
-    bricks; the exponent choice is this library's, not a published constant.
-    """
-    if a < 1 or t < 1:
-        raise ValueError("a and t must be positive")
-    if family not in ("nfold", "twostage"):
-        raise ValueError(f"unknown family {family!r}")
-    value = _mul(_power(_of(a), t * (t + 1)), _power(_of(t), 2 * t * t * (t - 1)))
-    formula = "a**(t*(t+1)) * t**(2*t*t*(t-1))"
-    if value.exact is None:
-        raise CapExceededError(value.log2)
-    node = CertNode(k1=t, base=True, hadamard=value.describe(), q1=None, q2=None, betas=())
-    side = "dual" if family == "nfold" else "primal"
-    stats = TdStats(height=2 * t, topological_height=2, level_heights=(t, t))
-    return FractionalityCertificate(bound=value.exact, log2_bound=value.log2,
-                                    side=side, stats=stats, trace=(node,),
-                                    formula=formula)

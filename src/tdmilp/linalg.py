@@ -192,13 +192,27 @@ def _dot(a: Sequence[int | Fraction], b: Sequence[int | Fraction]) -> int | Frac
 
 
 def parse_matrix(text: str) -> Matrix:
-    """Parse the row-per-line whitespace-separated matrix form."""
+    """Parse the row-per-line whitespace-separated matrix form.
+
+    Blank lines and ``#`` comments are skipped.  A bad token or a row of
+    another length than the first raises ValueError naming its line, and so
+    does text with no rows.
+    """
     rows = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append([rational(tok) for tok in line.split()])
+        try:
+            row = [rational(tok) for tok in line.split()]
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"line {number}: ragged rows: expected {len(rows[0])} "
+                             f"columns, got {len(row)}")
+        rows.append(row)
+    if not rows:
+        raise ValueError("no matrix rows")
     return Matrix(rows)
 
 

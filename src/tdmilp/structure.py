@@ -292,19 +292,19 @@ def restrict_decomposition(f: TdDecomposition, vertices: Sequence[int]) -> TdDec
     return TdDecomposition(parent)
 
 
-def td_compute(g: Graph, mode: str = "exact", exact_cap: int = EXACT_TD_CAP) -> TdDecomposition:
+def td_compute(g: Graph, mode: str = "exact") -> TdDecomposition:
     """Treedepth decomposition of a connected graph.
 
     Runs on adjacency bitmasks, the search of ``decomposition_for_matrix``.
     Exact mode finds a minimum-height decomposition by a branch and bound
-    over root choices, memoised on vertex subsets, and refuses graphs larger
-    than exact_cap.  It bounds a subset's height below by its degeneracy + 1
-    (degeneracy <= treewidth <= treedepth - 1), skips a root once a component
-    left by it cannot beat the best height so far, and among the roots of
-    minimum height keeps the lowest-index one.  Heuristic mode removes a
-    greedily chosen balanced separator, recurses, and stacks the separator as
-    a path above the recursive roots; the result is always valid but may not
-    have minimum height.
+    over root choices, memoised on vertex subsets, and refuses graphs of more
+    than EXACT_TD_CAP vertices.  It bounds a subset's height below by its
+    degeneracy + 1 (degeneracy <= treewidth <= treedepth - 1), skips a root
+    once a component left by it cannot beat the best height so far, and
+    among the roots of minimum height keeps the lowest-index one.  Heuristic
+    mode removes a greedily chosen balanced separator, recurses, and stacks
+    the separator as a path above the recursive roots; the result is always
+    valid but may not have minimum height.
     """
     if g.vertex_count == 0:
         return TdDecomposition([])
@@ -313,7 +313,7 @@ def td_compute(g: Graph, mode: str = "exact", exact_cap: int = EXACT_TD_CAP) -> 
     if _mask_components(full, adj) != [full]:
         raise StructureError("graph is not connected; decompose components first")
     parent: list[Optional[int]] = [None] * g.vertex_count
-    _decompose(full, adj, mode, exact_cap, parent)
+    _decompose(full, adj, mode, EXACT_TD_CAP, parent)
     return TdDecomposition(parent)
 
 

@@ -175,14 +175,14 @@ def test_criterion_8_nonlinear_counterexamples():
         uniform = tuple(Fraction(1, n) for _ in range(n))
         ok &= sum(uniform, Fraction(0)) == 1
         ok &= desc.objective_value(uniform) == Fraction(1, n)
-        ok &= verify_family(spec, desc, samples=1000).ok
+        ok &= verify_family(spec).ok
     for k in range(2, 11):
         spec = FamilySpec("lemma5_p2", k=k)
         desc = generate(spec)
         ok &= desc.objective_value((Fraction(1, k),)) == 0
-        ok &= verify_family(spec, desc).ok
+        ok &= verify_family(spec).ok
     spec = FamilySpec("lemma5_p3")
-    report = verify_family(spec, generate(spec))
+    report = verify_family(spec)
     ok &= report.ok
     _report("8 nonlinear objective families", ok)
 

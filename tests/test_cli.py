@@ -289,8 +289,11 @@ class TestCommands:
         assert out.splitlines() == ["MIP descriptor"] + expected
 
     def test_reduce_rejects_mixed(self):
-        code, _ = run_cli(["reduce"], stdin=TINY)
+        err = io.StringIO()
+        code, out = run_cli(["reduce"], stdin=TINY, err=err)
         assert code == 2
+        assert out == ""
+        assert err.getvalue() == "error: reduce expects a pure ILP (no continuous variables)\n"
 
     def test_reduce_pipes_back_into_solve(self):
         code, reduced = run_cli(["reduce"], stdin=INFEASIBLE_ILP)
@@ -376,8 +379,11 @@ class TestCommands:
     @pytest.mark.parametrize("matrix_text, message", [
         ("1 1\n1 1\n", "singular"),
         ("1 2 3\n4 5 6\n", "not square"),
-        ("1 2\n3\n", "ragged"),
-    ], ids=["singular", "non_square", "ragged"])
+        ("1 2\n3\n", "line 2: ragged rows: expected 2 columns, got 1"),
+        ("", "no matrix rows"),
+        ("# comment only\n\n", "no matrix rows"),
+        ("1 0\n\n0 x\n", "line 3: not an integer or p/q rational: 'x'"),
+    ], ids=["singular", "non_square", "ragged", "empty", "comment_only", "bad_token_line"])
     def test_invert_bad_matrix_is_usage_error(self, matrix_text, message):
         err = io.StringIO()
         code, out = run_cli(["invert"], stdin=matrix_text, err=err)
@@ -390,7 +396,7 @@ class TestCommands:
         code, out = run_cli(["invert"], stdin="1 1/0\n0 1\n", err=err)
         assert code == 2
         assert out == ""
-        assert err.getvalue() == "error: zero denominator: '1/0'\n"
+        assert err.getvalue() == "error: line 1: zero denominator: '1/0'\n"
 
 
 class TestFlags:

@@ -51,21 +51,21 @@ class TestGenerate:
 class TestVerify:
     def test_bidiagonal_n10(self):
         spec = FamilySpec("lemma4_a1", n=10)
-        report = verify_family(spec, generate(spec))
+        report = verify_family(spec)
         assert report.ok
         inv = mat_inverse(generate(spec))
         assert fractionality(inv) == 1024
 
     def test_arrowhead_n10(self):
         spec = FamilySpec("lemma4_a2", n=10)
-        report = verify_family(spec, generate(spec))
+        report = verify_family(spec)
         assert report.ok
         assert fractionality(mat_inverse(generate(spec))) >= 8
 
     def test_uniform_point_optimum(self):
         spec = FamilySpec("lemma5_p1", n=4)
         desc = generate(spec)
-        report = verify_family(spec, desc, samples=200)
+        report = verify_family(spec)
         assert report.ok
         uniform = tuple(Fraction(1, 4) for _ in range(4))
         assert desc.objective_value(uniform) == Fraction(1, 4)
@@ -73,21 +73,21 @@ class TestVerify:
     def test_square_shift_minimizer(self):
         for k in (2, 5, 10):
             spec = FamilySpec("lemma5_p2", k=k)
-            assert verify_family(spec, generate(spec)).ok
+            assert verify_family(spec).ok
 
     def test_cubic_is_irrational(self):
         spec = FamilySpec("lemma5_p3")
-        report = verify_family(spec, generate(spec))
+        report = verify_family(spec)
         assert report.ok
 
     def test_block_families(self):
         for fam in ("nfold", "twostage"):
             spec = FamilySpec(fam, t=2, k=3, seed=9, magnitude=2)
-            assert verify_family(spec, generate(spec)).ok
+            assert verify_family(spec).ok
 
     def test_report_text(self):
         spec = FamilySpec("lemma4_a1", n=4)
-        text = verify_family(spec, generate(spec)).to_text()
+        text = verify_family(spec).to_text()
         assert "PASS" in text
 
 

@@ -11,7 +11,7 @@ from tdmilp.blocks import primal_decompose
 from tdmilp.families import FamilySpec, generate
 from tdmilp import fracbound
 from tdmilp.fracbound import (BaseTrace, CapExceededError, PeelStep, SplitTrace,
-                              frac_bound, frac_bound_special, structured_inverse)
+                              frac_bound, structured_inverse)
 from tdmilp.linalg import (Matrix, SingularMatrixError, fractionality, mat_det,
                            mat_inverse)
 from tdmilp.structure import TdDecomposition, decomposition_for_matrix
@@ -281,46 +281,3 @@ class TestFracBound:
         assert err.value.log2_estimate > 0
         assert err.value.trace is not None
         assert "k1=" in err.value.trace.render()
-
-
-class TestSpecialBound:
-    def test_trivial_unimodular_case(self):
-        assert frac_bound_special(1, 1).bound == 1
-
-    def test_t1_dominates_enumeration(self):
-        cert = frac_bound_special(2, 1)
-        assert cert.bound >= 2
-        # every 2-brick single-entry instance with entries in [-2, 2]:
-        # dual-side submatrices of [[b1, d1, 0], [b2, 0, d2]]
-        worst = 1
-        for b1 in range(-2, 3):
-            for b2 in range(-2, 3):
-                for d1 in range(-2, 3):
-                    for d2 in range(-2, 3):
-                        a = Matrix([[b1, d1, 0], [b2, 0, d2]])
-                        for cols in combinations(range(3), 2):
-                            sub = a.submatrix(range(2), cols)
-                            if mat_det(sub) != 0:
-                                worst = max(worst, fractionality(mat_inverse(sub)))
-        assert cert.bound >= worst
-
-    def test_dominated_by_generic_on_canonical_shape(self):
-        spec = FamilySpec("nfold", t=2, k=2, seed=0, magnitude=2)
-        a = generate(spec)
-        special = frac_bound_special(2, 2)
-        f = decomposition_for_matrix(a, "dual", "exact")
-        try:
-            generic = frac_bound(a, f, "dual")
-            assert special.bound <= generic.bound
-        except CapExceededError as exc:
-            assert math.log2(special.bound) <= exc.log2_estimate
-
-    def test_formula_recorded(self):
-        cert = frac_bound_special(2, 2)
-        assert cert.formula is not None
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            frac_bound_special(0, 1)
-        with pytest.raises(ValueError):
-            frac_bound_special(1, 1, family="rings")

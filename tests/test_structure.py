@@ -97,7 +97,7 @@ class TestTdCompute:
 
     def test_errors(self):
         with pytest.raises(CapExceededError):
-            td_compute(path_graph(20), "exact", exact_cap=16)
+            td_compute(path_graph(20), "exact")
         with pytest.raises(StructureError):
             td_compute(Graph(2, []), "exact")  # disconnected
 
