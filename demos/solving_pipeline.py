@@ -34,7 +34,8 @@ assert check.objective == res.objective
 print("\noracle agrees:", check.objective)
 
 # what the scaling stage actually does: lcm(1..M) is divisible by every
-# denominator an optimal vertex can use, so the scaled instance is a pure ILP
+# denominator an optimal vertex can use, so the scaled instance, the same
+# MILP on the 1/scale grid, loses no optimum when every column is integral
 m_bound = report.m_value
 scale = choose_scale(m_bound)
 print("\nM =", m_bound, "-> scale lcm(1..M) =", scale)

@@ -31,15 +31,16 @@ print("\nborder columns:", bs.border_cols)
 for i, blk in enumerate(bs.blocks):
     print(f"block {i}: rows {blk.row_ids}, columns {blk.col_ids}")
 
-# reassembling the block display reproduces the matrix up to the recorded
-# row/column permutation
-assert bs.reassemble() == a.submatrix(bs.row_order, bs.col_order)
+# the block display: the matrix with rows and columns in block order, the
+# border columns first
+print("block display:")
+print(a.submatrix(bs.row_order, bs.col_order).to_text())
 
 # each border-extended ("hatted") strip puts the border columns in front of
 # one block's, decomposed by the border path grafted above the block's tree;
 # the recursions graft with graft_path_above directly, so the strips are for
 # display and the tests
-for strip, hat in hatted_blocks(bs):
+for strip, hat in hatted_blocks(a, bs):
     print("\nstrip:")
     print(strip.to_text())
     print("hatted stats:", td_stats(hat))

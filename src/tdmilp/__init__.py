@@ -1,20 +1,20 @@
 """Exact-arithmetic MILP solving for small-treedepth constraint matrices."""
 
 from .blocks import Block, BlockStructure, hatted_blocks, primal_decompose, structure_trace
-from .fracbound import (CapExceededError, FractionalityCertificate,
-                        StructuredInverseTrace, frac_bound, structured_inverse)
+from .fracbound import (FractionalityCertificate, StructuredInverseTrace, frac_bound,
+                        structured_inverse)
 from .families import (FamilySpec, MipDescriptor, VerificationReport, generate,
                        reduce_ilp_to_milp, verify_family)
 from .fileformat import ParsedInstance, ParseError, parse_instance, serialize_instance
 from .integralize import (FeasibilityError, IlpInstance, MilpInstance,
                           choose_scale, integralize, pure_ilp, recover)
-from .linalg import (DimensionError, Matrix, Rational, SingularMatrixError,
+from .linalg import (DimensionError, LinalgError, Matrix, Rational, SingularMatrixError,
                      fractionality, mat_det, mat_inverse, mat_rank, parse_matrix,
                      rational)
-from .simplex import SolveResult, SolveStats, lp_solve_exact
+from .simplex import SolveResult, SolveStats, SolverError, lp_solve_exact
 from .solver import (PipelineOptions, PipelineReport, ilp_solve, milp_oracle,
                      milp_solve, vertex_enumerate)
-from .structure import (Graph, StructureError, TdDecomposition, TdStats,
+from .structure import (CapExceededError, Graph, StructureError, TdDecomposition, TdStats,
                         connected_components, decomposition_for_matrix, dual_graph,
                         primal_graph, restrict_decomposition, td_compute, td_stats,
                         validate_td)
@@ -22,9 +22,9 @@ from .structure import (Graph, StructureError, TdDecomposition, TdStats,
 __all__ = [
     "Block", "BlockStructure", "CapExceededError", "DimensionError",
     "FamilySpec", "FeasibilityError", "FractionalityCertificate", "Graph",
-    "IlpInstance", "Matrix", "MilpInstance", "MipDescriptor", "ParseError",
-    "ParsedInstance", "PipelineOptions", "PipelineReport", "Rational",
-    "SingularMatrixError", "SolveResult", "SolveStats", "StructureError",
+    "IlpInstance", "LinalgError", "Matrix", "MilpInstance", "MipDescriptor",
+    "ParseError", "ParsedInstance", "PipelineOptions", "PipelineReport", "Rational",
+    "SingularMatrixError", "SolveResult", "SolveStats", "SolverError", "StructureError",
     "StructuredInverseTrace", "TdDecomposition", "TdStats",
     "VerificationReport", "choose_scale", "connected_components",
     "decomposition_for_matrix", "dual_graph", "frac_bound",

@@ -18,9 +18,8 @@ from .structure import (StructureError, TdDecomposition, _supports, check_fit,
 
 @dataclass(frozen=True)
 class Block:
-    """One diagonal block: its border strip, diagonal part and local tree."""
+    """One diagonal block: its rows and columns, diagonal part and local tree."""
 
-    border: Matrix
     diagonal: Matrix
     decomposition: TdDecomposition
     row_ids: tuple[int, ...]
@@ -42,19 +41,6 @@ class BlockStructure:
     @property
     def col_order(self) -> tuple[int, ...]:
         return self.border_cols + tuple(j for blk in self.blocks for j in blk.col_ids)
-
-    def reassemble(self) -> Matrix:
-        """The block display matrix; equals the input permuted by the maps."""
-        widths = [len(b.col_ids) for b in self.blocks]
-        total_c = self.k1 + sum(widths)
-        rows = []
-        for bi, blk in enumerate(self.blocks):
-            before = sum(widths[:bi])
-            after = sum(widths[bi + 1:])
-            for i in range(blk.border.rows):
-                rows.append(list(blk.border.row(i)) + [0] * before
-                            + list(blk.diagonal.row(i)) + [0] * after)
-        return Matrix(rows, cols=total_c)
 
 
 def top_path(f: TdDecomposition) -> list[int]:
@@ -115,8 +101,7 @@ def primal_decompose(a: Matrix, f: TdDecomposition) -> BlockStructure:
     blocks = []
     for bi, cols in enumerate(subtrees):
         rows = tuple(block_rows[bi])
-        blocks.append(Block(border=a.submatrix(rows, path),
-                            diagonal=a.submatrix(rows, cols),
+        blocks.append(Block(diagonal=a.submatrix(rows, cols),
                             decomposition=restrict_decomposition(f, cols),
                             row_ids=rows, col_ids=tuple(cols)))
     return BlockStructure(k1=k1, border_cols=tuple(path), blocks=tuple(blocks))
@@ -139,14 +124,12 @@ def graft_path_above(f: TdDecomposition, path_len: int) -> TdDecomposition:
     return TdDecomposition(parent)
 
 
-def hatted_blocks(b: BlockStructure) -> list[tuple[Matrix, TdDecomposition]]:
-    """Border-extended strips: each block's (border | diagonal) columns,
-    decomposed by grafting a path of k1 fresh vertices above the block tree."""
-    out = []
-    for blk in b.blocks:
-        strip = blk.border.hstack(blk.diagonal)
-        out.append((strip, graft_path_above(blk.decomposition, b.k1)))
-    return out
+def hatted_blocks(a: Matrix, b: BlockStructure) -> list[tuple[Matrix, TdDecomposition]]:
+    """Border-extended strips of a, b = primal_decompose(a, f): each block's
+    rows on the border columns, then the block's own, decomposed by grafting
+    a path of k1 fresh vertices above the block tree."""
+    return [(a.submatrix(blk.row_ids, b.border_cols + blk.col_ids),
+             graft_path_above(blk.decomposition, b.k1)) for blk in b.blocks]
 
 
 def structure_trace(a: Matrix, f: TdDecomposition) -> str:

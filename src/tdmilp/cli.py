@@ -22,8 +22,7 @@ from .integralize import FeasibilityError, IlpInstance
 from .linalg import LinalgError, Matrix, fractionality, mat_inverse, parse_matrix
 from .simplex import SolverError
 from .solver import PipelineOptions, choose_side, milp_oracle, milp_solve
-from .structure import (CapExceededError, StructureError,
-                        decomposition_for_matrix, td_stats)
+from .structure import CapExceededError, StructureError, decomposition_for_matrix
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -47,9 +46,9 @@ def _format_x(parsed: ParsedInstance, x) -> list[str]:
 def _cmd_analyze(args) -> int:
     parsed = parse_instance(_read_input(args.path))
     matrix = parsed.instance.matrix
-    _, fs = choose_side(matrix, "auto")
-    print(td_stats(fs["primal"]).machine_line("primal"))
-    print(td_stats(fs["dual"]).machine_line("dual"))
+    _, fs, stats = choose_side(matrix, "auto")
+    for side, st in stats.items():
+        print(st.machine_line(side))
     print("block_structure:")
     print(structure_trace(matrix, fs["primal"]))
     return EXIT_OK
@@ -58,12 +57,12 @@ def _cmd_analyze(args) -> int:
 def _cmd_bound(args) -> int:
     parsed = parse_instance(_read_input(args.path))
     matrix = parsed.instance.matrix
-    side, fs = choose_side(matrix, args.side)
+    side, fs, stats = choose_side(matrix, args.side)
     cert = frac_bound(matrix, fs[side], side)
-    print(f"side={cert.side}")
+    print(f"side={side}")
     print(f"bound={cert.bound}")
     print(f"log2={cert.log2_bound:.6g}")
-    print(cert.stats.machine_line(cert.side))
+    print(stats[side].machine_line(side))
     for node in cert.trace:
         for line in node.render().splitlines():
             print(f"trace={line.strip()}" if args.format == "machine" else line)

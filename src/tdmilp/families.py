@@ -165,7 +165,7 @@ def generate(spec: FamilySpec) -> Generated:
     """Build the family member selected by spec (pure in spec)."""
     fam = spec.family
     if fam == "lemma4_a1":
-        if spec.n is None or spec.n < 1:
+        if spec.n is None:
             raise ValueError("lemma4_a1 needs n >= 1")
         return _bidiagonal(spec.n)
     if fam == "lemma4_a2":
@@ -173,12 +173,12 @@ def generate(spec: FamilySpec) -> Generated:
             raise ValueError("lemma4_a2 needs n >= 3")
         return _arrowhead(spec.n)
     if fam == "lemma5_p1":
-        if spec.n is None or spec.n < 1:
+        if spec.n is None:
             raise ValueError("lemma5_p1 needs n >= 1")
         return MipDescriptor(dimension=spec.n, objective=("sum_of_squares",),
                              constraint=Matrix([[1] * spec.n]), rhs=(1,))
     if fam == "lemma5_p2":
-        if spec.k is None or spec.k < 1:
+        if spec.k is None:
             raise ValueError("lemma5_p2 needs k >= 1")
         return MipDescriptor(dimension=1, objective=("squared_distance", Fraction(1, spec.k)))
     if fam == "lemma5_p3":

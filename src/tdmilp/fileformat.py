@@ -138,6 +138,10 @@ def parse_instance(text: str) -> ParsedInstance:
     for name, (vec, ln) in (("obj", obj), ("lb", lb), ("ub", ub)):
         if len(vec) != n:
             raise ParseError(f"{name} needs {n} entries, got {len(vec)}", ln)
+    for j, (lo, up) in enumerate(zip(lb[0], ub[0])):
+        if lo > up:
+            raise ParseError(f"lower bound {lo} exceeds upper bound {up} of variable {j}",
+                             ub[1])
     for idx in ints:
         if not (0 <= idx < n):
             raise ParseError(f"integer index {idx} out of range", ints_line)

@@ -23,8 +23,7 @@ from typing import Optional, Sequence, Union
 from .blocks import graft_path_above, primal_decompose, split_forest
 from .linalg import Matrix, SingularMatrixError, forward_eliminate, mat_inverse
 from .structure import CapExceededError as _BaseCapError
-from .structure import (TdDecomposition, TdStats, check_fit, restrict_decomposition,
-                        td_stats)
+from .structure import TdDecomposition, check_fit, restrict_decomposition, td_stats
 
 _LOG2_E = math.log2(math.e)
 
@@ -399,8 +398,6 @@ class FractionalityCertificate:
 
     bound: int
     log2_bound: float
-    side: str
-    stats: "TdStats"
     trace: tuple[CertNode, ...]
 
 
@@ -501,5 +498,4 @@ def frac_bound(a: Matrix, f: TdDecomposition, side: str = "primal") -> Fractiona
     trace = tuple(nodes)
     if result.exact is None:
         raise CapExceededError(result.log2, trace=trace[-1] if trace else None)
-    return FractionalityCertificate(bound=result.exact, log2_bound=result.log2,
-                                    side=side, stats=td_stats(f), trace=trace)
+    return FractionalityCertificate(bound=result.exact, log2_bound=result.log2, trace=trace)

@@ -2,8 +2,9 @@
 
 An instance keeps its constraint matrix split into the integer-variable part
 and the continuous-variable part, columns ordered (integer, continuous).
-Scaling by a multiple of every optimal denominator turns the instance into a
-pure ILP whose optimum maps back exactly.
+Scaling the continuous columns by a multiple of every optimal denominator
+puts an optimum on the integer grid, so an integer optimum of the scaled
+instance maps back exactly.
 """
 
 from __future__ import annotations
@@ -104,22 +105,22 @@ def choose_scale(m: int) -> int:
     return math.lcm(*range(1, m + 1))
 
 
-def integralize(inst: MilpInstance, scale: int) -> IlpInstance:
-    """Scale the continuous part onto the integer grid.
+def integralize(inst: MilpInstance, scale: int) -> MilpInstance:
+    """The same MILP on the 1/scale grid: continuous values y = scale*x_Q.
 
-    The new instance has matrix (scale*a_int | a_frac), right-hand side
-    scale*b, continuous bounds multiplied by scale and objective
-    (scale*c_Z, c_Q), so objective values scale uniformly and the nonzero
-    pattern (hence both interaction graphs) is unchanged.
+    The new instance keeps the column split, with a_int scaled to
+    scale*a_int and a_frac as it is, right-hand side scale*b, continuous
+    bounds multiplied by scale and objective (scale*c_Z, c_Q), so objective
+    values scale uniformly and the nonzero pattern (hence both interaction
+    graphs) is unchanged.  When scale is a multiple of every optimal
+    denominator, solving it with every column integral loses no optimum.
     """
     if scale < 1:
         raise ValueError("scale must be positive")
     z = inst.z
-    new_matrix = (scale * inst.a_int).hstack(inst.a_frac)
-    empty = Matrix([[] for _ in range(inst.rows)], cols=0)
-    return IlpInstance(
-        a_int=new_matrix,
-        a_frac=empty,
+    return MilpInstance(
+        a_int=scale * inst.a_int,
+        a_frac=inst.a_frac,
         b=tuple(scale * v for v in inst.b),
         c=tuple(scale * v for v in inst.c[:z]) + inst.c[z:],
         lower=inst.lower[:z] + tuple(scale * v for v in inst.lower[z:]),

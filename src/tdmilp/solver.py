@@ -3,8 +3,8 @@
 The pipeline solves a mixed instance by bounding the denominators its optimal
 continuous part can need (certificate, cut by the determinant scale, when
 affordable; determinant scale otherwise), scaling onto the integer grid,
-solving the resulting pure ILP exactly with integer-first branching, and
-mapping the optimum back.  ``vertex_enumerate`` and
+solving the scaled instance with every column integral by integer-first
+branching, and mapping the optimum back.  ``vertex_enumerate`` and
 ``milp_oracle`` are brute-force oracles; the pipeline uses neither.
 """
 
@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .fracbound import CapExceededError as CertCapError
 from .fracbound import frac_bound
-from .integralize import IlpInstance, MilpInstance, choose_scale, integralize, recover
+from .integralize import MilpInstance, choose_scale, integralize, recover
 from .linalg import (Matrix, SingularMatrixError, forward_eliminate, mat_det, mat_inverse,
                      rational)
 from .simplex import SolveResult, SolveStats, SolverError, lp_solve_exact, reduce_rows
@@ -104,28 +104,26 @@ def _most_fractional(x: Sequence[Fraction], cols: range) -> Optional[int]:
     return best
 
 
-def ilp_solve(inst: IlpInstance, z: Optional[int] = None) -> SolveResult:
+def ilp_solve(inst: MilpInstance) -> SolveResult:
     """Exact optimum over integer points by best-bound branch and bound.
 
-    Relaxations are solved by the exact simplex and pruning compares
-    rationals exactly.  Branching is integer-first: it takes the most
-    fractional of the first z columns, and only when those are all integral
-    the most fractional of the rest, counting such branches in
-    ``stats.continuous_branches``.  z=None branches on the most fractional
-    column overall.  The root LP is solved cold; each child LP is
-    warm-started from its parent's optimal tableau (``lp_solve_exact``'s
-    ``start``), whose basis stays dual feasible because a child only
+    Every column is required to be integral.  Relaxations are solved by the
+    exact simplex and pruning compares rationals exactly.  Branching is
+    integer-first: it takes the most fractional of the inst.z integer
+    columns, and only when those are all integral the most fractional of
+    the continuous ones, counting such branches in
+    ``stats.continuous_branches``; an IlpInstance (z = n) branches on the
+    most fractional column overall.  The root LP is solved cold; each child
+    LP is warm-started from its parent's optimal tableau
+    (``lp_solve_exact``'s ``start``), whose basis stays dual feasible because a child only
     tightens one bound, so a dual simplex with Bland's tie-break (lowest
     index leaves; least ratio enters, ties to the lowest index) replaces
     both phases.  At a non-unique LP optimum it may pick another vertex
     than a cold solve, which can change ``x`` and the node count, never the
-    status or the objective.  A z outside 0..n raises ValueError.
+    status or the objective.
     """
     matrix = inst.matrix
-    n = matrix.cols
-    z = n if z is None else z
-    if not 0 <= z <= n:
-        raise ValueError(f"z must lie in 0..{n}, got {z}")
+    n, z = matrix.cols, inst.z
     stats = SolveStats()
     counter = itertools.count()
     root = (inst.lower, inst.upper)
@@ -323,8 +321,10 @@ def _grid_scale(a_frac: Matrix, f: TdDecomposition, side: str,
     return cut
 
 
-def choose_side(matrix: Matrix, side: str) -> tuple[str, dict[str, TdDecomposition]]:
-    """Resolve side and return it with the decompositions of both sides.
+def choose_side(matrix: Matrix, side: str
+                ) -> tuple[str, dict[str, TdDecomposition], dict[str, TdStats]]:
+    """Resolve side and return it with the decompositions of both sides and
+    their statistics, each computed once.
 
     "auto" takes the side of lower treedepth height, primal on ties; an
     unknown side raises ValueError.
@@ -332,9 +332,10 @@ def choose_side(matrix: Matrix, side: str) -> tuple[str, dict[str, TdDecompositi
     if side not in ("primal", "dual", "auto"):
         raise ValueError(f"unknown side {side!r}")
     fs = {s: decomposition_for_matrix(matrix, s, "auto") for s in ("primal", "dual")}
+    stats = {s: td_stats(f) for s, f in fs.items()}
     if side == "auto":
-        side = "primal" if td_stats(fs["primal"]).height <= td_stats(fs["dual"]).height else "dual"
-    return side, fs
+        side = "primal" if stats["primal"].height <= stats["dual"].height else "dual"
+    return side, fs, stats
 
 
 def milp_solve(inst: MilpInstance,
@@ -344,8 +345,9 @@ def milp_solve(inst: MilpInstance,
     Stages: analyse both interaction graphs and pick the shallower side;
     obtain a scale (1 for a pure ILP, else ``_grid_scale``'s, from the
     fractionality certificate and the determinant scale); solve the scaled
-    pure ILP by integer-first branch and bound; recover and validate the
-    mixed optimum, whose objective is the scaled one over the scale.
+    instance, every column integral, by integer-first branch and bound;
+    recover and validate the mixed optimum, whose objective is the scaled
+    one over the scale.
 
     Every scale is sound, so by Cramer's rule a node whose integer columns
     are integral is a vertex with integral continuous columns too.  A branch
@@ -354,9 +356,8 @@ def milp_solve(inst: MilpInstance,
     options = options or PipelineOptions()
     report = PipelineReport()
 
-    side, fs = choose_side(inst.matrix, options.side)
-    report.primal_stats = td_stats(fs["primal"])
-    report.dual_stats = td_stats(fs["dual"])
+    side, fs, stats = choose_side(inst.matrix, options.side)
+    report.primal_stats, report.dual_stats = stats["primal"], stats["dual"]
     report.side = side
 
     if inst.q == 0:
@@ -368,8 +369,7 @@ def milp_solve(inst: MilpInstance,
         scale = _grid_scale(inst.a_frac, f, side, report)
     report.scale = scale
 
-    scaled = integralize(inst, scale)
-    ilp_res = ilp_solve(scaled, z=inst.z)
+    ilp_res = ilp_solve(integralize(inst, scale))
     report.ilp_nodes = ilp_res.stats.nodes
     if ilp_res.stats.continuous_branches:
         raise SolverError(f"branched on a continuous column under m_source={report.m_source} "

@@ -31,7 +31,7 @@ class TestPrimalDecompose:
         assert bs.k1 == 3
         assert len(bs.blocks) == 1
         assert bs.blocks[0].diagonal.cols == 0
-        assert bs.blocks[0].border == a.submatrix([0], bs.border_cols)
+        assert (bs.blocks[0].row_ids, bs.blocks[0].col_ids) == ((0,), ())
 
     def test_two_brick_border(self):
         a = two_brick_border()
@@ -55,7 +55,13 @@ class TestPrimalDecompose:
     def test_round_trip_permutation(self):
         multi = 0
         for sub, _, bs in tree_parts(6, 5, range(15)):
-            assert bs.reassemble() == sub.submatrix(bs.row_order, bs.col_order)
+            assert sorted(bs.row_order) == list(range(sub.rows))
+            assert sorted(bs.col_order) == list(range(sub.cols))
+            for blk in bs.blocks:
+                assert blk.diagonal == sub.submatrix(blk.row_ids, blk.col_ids)
+                own = set(bs.border_cols) | set(blk.col_ids)
+                assert all(sub[i, j] == 0 for i in blk.row_ids
+                           for j in range(sub.cols) if j not in own)
             multi += len(bs.blocks) > 1
         assert multi >= 12  # 44 parts
 
@@ -94,26 +100,26 @@ class TestHattedBlocks:
         a = Matrix([[1, 2]])
         f = TdDecomposition([None, 0])
         bs = primal_decompose(a, f)
-        strips = hatted_blocks(bs)
+        strips = hatted_blocks(a, bs)
         assert len(strips) == 1
         strip, hat = strips[0]
-        assert strip == bs.blocks[0].border
+        assert strip == a.submatrix([0], bs.border_cols)
         assert td_stats(hat).height == bs.k1
 
     def test_two_brick_strips(self):
         a = two_brick_border()
         f = decomposition_for_matrix(a, "primal", "exact")
         bs = primal_decompose(a, f)
-        for (strip, hat), blk in zip(hatted_blocks(bs), bs.blocks):
+        for (strip, hat), blk in zip(hatted_blocks(a, bs), bs.blocks):
             assert strip.cols == bs.k1 + blk.diagonal.cols
-            assert strip == blk.border.hstack(blk.diagonal)
+            assert strip == a.submatrix(blk.row_ids, bs.border_cols).hstack(blk.diagonal)
             assert validate_td(primal_graph(strip), hat)
 
     def test_hatted_height_and_ttd(self):
         multi = 0
-        for _, f_sub, bs in tree_parts(7, 6, range(10)):
+        for sub, f_sub, bs in tree_parts(7, 6, range(10)):
             st = td_stats(f_sub)
-            for strip, hat in hatted_blocks(bs):
+            for strip, hat in hatted_blocks(sub, bs):
                 hat_stats = td_stats(hat)
                 assert validate_td(primal_graph(strip), hat)
                 assert hat_stats.topological_height < max(st.topological_height, 2)

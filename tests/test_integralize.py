@@ -41,13 +41,9 @@ class TestChooseScale:
 
 
 class TestIntegralize:
-    def test_scale_one_reclassifies_only(self):
-        inst = tiny_mixed()
-        out = integralize(inst, 1)
-        assert isinstance(out, IlpInstance)
-        assert out.matrix == inst.matrix
-        assert out.b == inst.b and out.c == inst.c
-        assert out.lower == inst.lower and out.upper == inst.upper
+    def test_scale_one_is_the_same_instance(self):
+        for inst in (tiny_mixed(), mixed_pair()):
+            assert integralize(inst, 1) == inst
 
     def test_hand_example(self):
         out = integralize(tiny_mixed(), 2)
@@ -61,6 +57,7 @@ class TestIntegralize:
         assert out.c == (6, 1)
         assert out.b == (12,)
         assert out.matrix == Matrix([[6, 2]])
+        assert (out.a_int, out.a_frac) == (Matrix([[6]]), Matrix([[2]]))  # split kept
         assert out.lower == (0, 0) and out.upper == (2, 6)
 
     def test_nonzero_pattern_preserved(self):

@@ -15,7 +15,7 @@ from tdmilp.simplex import SolverError, lp_solve_exact
 from tdmilp.solver import (PipelineOptions, PipelineReport, _determinant_scale,
                            _most_fractional, choose_side, ilp_solve, milp_oracle, milp_solve,
                            vertex_enumerate)
-from tdmilp.structure import CapExceededError, TdDecomposition
+from tdmilp.structure import CapExceededError, TdDecomposition, td_stats
 from instances import (acceptance_corpus, dense_continuous, dense_continuous_exact,
                        nfold_one_integer, wide_certificate)
 from oracles import (determinant_scale_by_enumeration, ilp_by_box_enumeration,
@@ -103,15 +103,6 @@ class TestIlpSolve:
         assert root_start is None and len(children) == 2
         assert all(start is root for start, _ in children)
 
-    @pytest.mark.parametrize("z", [-1, 5])
-    def test_z_outside_the_columns(self, z):
-        # the root LP is fractional, so an unchecked z = 5 would index past x
-        # and z = -1 would branch on the last column
-        inst = pure_ilp(Matrix([[2, 2]]), (3,), (0, 0), (0, 0), (2, 2))
-        with pytest.raises(ValueError, match=r"z must lie in 0\.\.2"):
-            ilp_solve(inst, z)
-        assert [ilp_solve(inst, k).status for k in (0, 2)] == ["infeasible"] * 2
-
     def test_against_box_enumeration(self):
         rng = random.Random(7)
         for _ in range(30):
@@ -172,7 +163,7 @@ class TestBranchAndBoundPaths:
         inst = MilpInstance(a_int=Matrix([r[:z] for r in rows]),
                             a_frac=Matrix([r[z:] for r in rows]), b=b, c=c,
                             lower=(-2,) * n, upper=(2,) * n)
-        res = ilp_solve(integralize(inst, scale), z=z)
+        res = ilp_solve(integralize(inst, scale))
         assert (res.status, res.x, res.stats.nodes, res.stats.pivots,
                 res.stats.continuous_branches) == expected
 
@@ -387,7 +378,8 @@ class TestScaleWitness:
     @pytest.mark.parametrize("z, branched, continuous", [(1, 0, 0), (None, 1, 0), (0, 1, 1)])
     def test_integer_first_order(self, monkeypatch, z, branched, continuous):
         # the root LP is x = (1/4, 1/2): column 1 is the more fractional, but
-        # with z=1 column 0 is integer and goes first
+        # with z=1 column 0 is integer and goes first; z=None is a pure ILP,
+        # every column integer
         bounds = []
 
         def recording(a, b, lower, upper, c, **kwargs):
@@ -395,7 +387,14 @@ class TestScaleWitness:
             return lp_solve_exact(a, b, lower, upper, c, **kwargs)
 
         monkeypatch.setattr("tdmilp.solver.lp_solve_exact", recording)
-        res = ilp_solve(pure_ilp(Matrix([[4, 0], [0, 2]]), (1, 1), (0, 0), (0, 0), (1, 1)), z=z)
+        a = Matrix([[4, 0], [0, 2]])
+        data = dict(b=(1, 1), c=(0, 0), lower=(0, 0), upper=(1, 1))
+        if z is None:
+            inst = pure_ilp(a, **data)
+        else:
+            inst = MilpInstance(a_int=a.submatrix(range(2), range(z)),
+                                a_frac=a.submatrix(range(2), range(z, 2)), **data)
+        res = ilp_solve(inst)
         assert res.status == "infeasible"
         assert res.stats.continuous_branches == continuous
         other = 1 - branched
@@ -407,8 +406,9 @@ class TestChooseSide:
     def test_an_explicit_side_still_returns_both_decompositions(self):
         a = Matrix([[1, 1, 0], [0, 1, 1]])
         for side in ("primal", "dual", "auto"):
-            chosen, fs = choose_side(a, side)
+            chosen, fs, stats = choose_side(a, side)
             assert sorted(fs) == ["dual", "primal"]
+            assert all(stats[s] == td_stats(fs[s]) for s in fs)
             assert chosen == ("primal" if side == "auto" else side)
 
     def test_unknown_side_rejected(self):
