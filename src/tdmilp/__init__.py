@@ -6,9 +6,9 @@ from .fracbound import (FractionalityCertificate, StructuredInverseTrace, frac_b
 from .families import (FamilySpec, MipDescriptor, VerificationReport, generate,
                        reduce_ilp_to_milp, verify_family)
 from .fileformat import ParsedInstance, ParseError, parse_instance, serialize_instance
-from .integralize import (FeasibilityError, IlpInstance, MilpInstance,
-                          choose_scale, integralize, pure_ilp, recover)
-from .linalg import (DimensionError, LinalgError, Matrix, Rational, SingularMatrixError,
+from .integralize import (FeasibilityError, MilpInstance, choose_scale,
+                          integralize, pure_ilp, recover)
+from .linalg import (DimensionError, LinalgError, Matrix, SingularMatrixError,
                      fractionality, mat_det, mat_inverse, mat_rank, parse_matrix,
                      rational)
 from .simplex import SolveResult, SolveStats, SolverError, lp_solve_exact
@@ -22,8 +22,8 @@ from .structure import (CapExceededError, Graph, StructureError, TdDecomposition
 __all__ = [
     "Block", "BlockStructure", "CapExceededError", "DimensionError",
     "FamilySpec", "FeasibilityError", "FractionalityCertificate", "Graph",
-    "IlpInstance", "LinalgError", "Matrix", "MilpInstance", "MipDescriptor",
-    "ParseError", "ParsedInstance", "PipelineOptions", "PipelineReport", "Rational",
+    "LinalgError", "Matrix", "MilpInstance", "MipDescriptor",
+    "ParseError", "ParsedInstance", "PipelineOptions", "PipelineReport",
     "SingularMatrixError", "SolveResult", "SolveStats", "SolverError", "StructureError",
     "StructuredInverseTrace", "TdDecomposition", "TdStats",
     "VerificationReport", "choose_scale", "connected_components",

@@ -16,10 +16,10 @@ from .blocks import structure_trace
 from .fileformat import ParseError, ParsedInstance, parse_instance, serialize_instance
 from .fracbound import CapExceededError as CertCapError
 from .fracbound import frac_bound, structured_inverse
-from .families import (DESCRIPTOR_FAMILIES, MATRIX_FAMILIES, FamilySpec,
-                       MipDescriptor, generate, reduce_ilp_to_milp, verify_family)
-from .integralize import FeasibilityError, IlpInstance
-from .linalg import LinalgError, Matrix, fractionality, mat_inverse, parse_matrix
+from .families import (DESCRIPTOR_FAMILIES, MATRIX_FAMILIES, FamilySpec, generate,
+                       reduce_ilp_to_milp, verify_family)
+from .integralize import FeasibilityError
+from .linalg import LinalgError, fractionality, mat_inverse, parse_matrix
 from .simplex import SolverError
 from .solver import PipelineOptions, choose_side, milp_oracle, milp_solve
 from .structure import CapExceededError, StructureError, decomposition_for_matrix
@@ -38,9 +38,13 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _format_x(parsed: ParsedInstance, x) -> list[str]:
-    ordered = parsed.solution_in_file_order(x)
-    return [f"x{i}={v}" for i, v in enumerate(ordered)]
+def _print_result(parsed: ParsedInstance, res) -> None:
+    """status, then for an optimum each x<i> in file order and the objective."""
+    print(f"status={res.status}")
+    if res.status == "optimal":
+        for i, v in enumerate(parsed.solution_in_file_order(res.x)):
+            print(f"x{i}={v}")
+        print(f"objective={res.objective}")
 
 
 def _cmd_analyze(args) -> int:
@@ -72,11 +76,7 @@ def _cmd_bound(args) -> int:
 def _cmd_solve(args) -> int:
     parsed = parse_instance(_read_input(args.path))
     res, report = milp_solve(parsed.instance, PipelineOptions(side=args.side))
-    print(f"status={res.status}")
-    if res.status == "optimal":
-        for line in _format_x(parsed, res.x):
-            print(line)
-        print(f"objective={res.objective}")
+    _print_result(parsed, res)
     for line in report.machine_lines():
         print(line)
     return EXIT_OK if res.status == "optimal" else EXIT_INFEASIBLE
@@ -85,13 +85,8 @@ def _cmd_solve(args) -> int:
 def _cmd_oracle(args) -> int:
     parsed = parse_instance(_read_input(args.path))
     res = milp_oracle(parsed.instance)
-    print(f"status={res.status}")
-    if res.status == "optimal":
-        for line in _format_x(parsed, res.x):
-            print(line)
-        print(f"objective={res.objective}")
-        return EXIT_OK
-    return EXIT_INFEASIBLE
+    _print_result(parsed, res)
+    return EXIT_OK if res.status == "optimal" else EXIT_INFEASIBLE
 
 
 def _cmd_invert(args) -> int:
@@ -113,41 +108,14 @@ def _spec_from_args(args) -> FamilySpec:
                       seed=args.seed, magnitude=args.magnitude)
 
 
-def _print_generated(gen) -> None:
-    if isinstance(gen, Matrix):
-        print(gen.to_text())
-        return
-    assert isinstance(gen, MipDescriptor)
-    print("MIP descriptor")
-    print(f"dimension={gen.dimension}")
-    kind = gen.objective[0]
-    extra = "" if len(gen.objective) == 1 else "," + ",".join(str(v) for v in gen.objective[1:]) \
-        .replace(" ", "").replace("(", "").replace(")", "")
-    print(f"objective={kind}{extra}")
-    if gen.constraint is not None:
-        for i in range(gen.constraint.rows):
-            coeffs = " ".join(str(v) for v in gen.constraint.row(i))
-            print(f"row {coeffs} = {gen.rhs[i]}")
-    if gen.lower is not None:
-        print("lb " + " ".join(str(v) for v in gen.lower))
-        print("ub " + " ".join(str(v) for v in gen.upper))
-
-
 def _cmd_gen(args) -> int:
-    gen = generate(_spec_from_args(args))
-    _print_generated(gen)
+    print(generate(_spec_from_args(args)).to_text())
     return EXIT_OK
 
 
 def _cmd_reduce(args) -> int:
-    parsed = parse_instance(_read_input(args.path))
-    inst = parsed.instance
-    if inst.q != 0:
-        raise ValueError("reduce expects a pure ILP (no continuous variables)")
-    ilp = IlpInstance(a_int=inst.a_int, a_frac=inst.a_frac, b=inst.b, c=inst.c,
-                      lower=inst.lower, upper=inst.upper)
-    reduced = reduce_ilp_to_milp(ilp)
-    out = ParsedInstance(instance=reduced, to_original=tuple(range(2 * ilp.z)))
+    reduced = reduce_ilp_to_milp(parse_instance(_read_input(args.path)).instance)
+    out = ParsedInstance(instance=reduced, to_original=tuple(range(reduced.z + reduced.q)))
     sys.stdout.write(serialize_instance(out))
     return EXIT_OK
 
@@ -200,10 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

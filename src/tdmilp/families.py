@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .integralize import IlpInstance, MilpInstance
+from .integralize import MilpInstance
 from .linalg import Matrix, fractionality, mat_inverse
 from .structure import connected_components, dual_graph, primal_graph
 
@@ -79,6 +79,21 @@ class MipDescriptor:
             v = Fraction(x[0])
             return c0 + c1 * v + c2 * v * v + c3 * v ** 3
         raise ValueError(f"unknown objective kind {kind!r}")
+
+    def to_text(self) -> str:
+        """A header line, ``dimension=``, ``objective=`` with the kind and its
+        parameters comma-separated, then any ``row`` and ``lb``/``ub`` lines."""
+        kind, *params = self.objective
+        flat = [v for p in params for v in (p if isinstance(p, tuple) else (p,))]
+        lines = ["MIP descriptor", f"dimension={self.dimension}",
+                 ",".join([f"objective={kind}"] + [str(v) for v in flat])]
+        if self.constraint is not None:
+            for i, rhs in enumerate(self.rhs):
+                lines.append(f"row {' '.join(map(str, self.constraint.row(i)))} = {rhs}")
+        if self.lower is not None:
+            lines.append("lb " + " ".join(map(str, self.lower)))
+            lines.append("ub " + " ".join(map(str, self.upper)))
+        return "\n".join(lines)
 
 
 Generated = Union[Matrix, MipDescriptor]
@@ -198,13 +213,16 @@ def generate(spec: FamilySpec) -> Generated:
     raise AssertionError(fam)
 
 
-def reduce_ilp_to_milp(ilp: IlpInstance) -> MilpInstance:
-    """Embed an ILP into a MILP whose integer columns carry no constraints.
+def reduce_ilp_to_milp(ilp: MilpInstance) -> MilpInstance:
+    """Embed a pure ILP (q = 0) into a MILP whose integer columns carry no
+    constraints.
 
     The original variables become continuous and keep the constraint matrix;
     fresh integer copies are pinned to them by identity rows, so feasibility
-    is preserved in both directions.
+    is preserved in both directions.  A mixed instance raises ValueError.
     """
+    if ilp.q != 0:
+        raise ValueError("reduce expects a pure ILP (no continuous variables)")
     n = ilp.z
     m = ilp.rows
     zero_top = Matrix.zeros(m, n)
@@ -376,18 +394,13 @@ def verify_family(spec: FamilySpec) -> VerificationReport:
         a = generated
         regen = generate(spec)
         checks.append(Check("regeneration with the same seed is identical", a == regen))
-        if fam == "nfold":
-            g = dual_graph(a)
+        if fam != "random_td":
+            # nfold's border is its first t rows, twostage's its first t columns
+            g, what = (dual_graph(a), "rows") if fam == "nfold" else (primal_graph(a), "columns")
             t = spec.t or 1
             non_border_edges = [e for e in g.edges if e[0] >= t and e[1] >= t]
             same_brick = all((u - t) // t == (v - t) // t for u, v in non_border_edges)
-            checks.append(Check("non-border rows only interact within a brick", same_brick))
-        if fam == "twostage":
-            t = spec.t or 1
-            g = primal_graph(a)
-            non_border_edges = [e for e in g.edges if e[0] >= t and e[1] >= t]
-            same_brick = all((u - t) // t == (v - t) // t for u, v in non_border_edges)
-            checks.append(Check("non-border columns only interact within a brick", same_brick))
+            checks.append(Check(f"non-border {what} only interact within a brick", same_brick))
     else:
         raise AssertionError(fam)
     return VerificationReport(family=fam, checks=tuple(checks))

@@ -1,7 +1,8 @@
 """MILP instances and the scaling reduction onto the integer grid.
 
 An instance keeps its constraint matrix split into the integer-variable part
-and the continuous-variable part, columns ordered (integer, continuous).
+and the continuous-variable part, columns ordered (integer, continuous); a
+pure ILP is the instance with no continuous columns (q = 0).
 Scaling the continuous columns by a multiple of every optimal denominator
 puts an optimum on the integer grid, so an integer optimum of the scaled
 instance maps back exactly.
@@ -83,19 +84,10 @@ class MilpInstance:
         return self.a_int.hstack(self.a_frac)
 
 
-class IlpInstance(MilpInstance):
-    """A MilpInstance with no continuous part."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.q != 0:
-            raise ValueError("IlpInstance must have no continuous columns")
-
-
-def pure_ilp(matrix: Matrix, b, c, lower, upper) -> IlpInstance:
-    """Convenience constructor for an all-integer instance."""
+def pure_ilp(matrix: Matrix, b, c, lower, upper) -> MilpInstance:
+    """Convenience constructor for an all-integer instance (q = 0)."""
     empty = Matrix([[] for _ in range(matrix.rows)], cols=0)
-    return IlpInstance(a_int=matrix, a_frac=empty, b=b, c=c, lower=lower, upper=upper)
+    return MilpInstance(a_int=matrix, a_frac=empty, b=b, c=c, lower=lower, upper=upper)
 
 
 def choose_scale(m: int) -> int:

@@ -20,8 +20,6 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
@@ -144,15 +142,6 @@ class Matrix:
 
     def __rmul__(self, other):
         return self.__mul__(other)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise DimensionError("shape mismatch in addition")
-        return Matrix([[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self._data, other._data)], cols=self.cols)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
 
     def __neg__(self) -> "Matrix":
         return Matrix([[-x for x in r] for r in self._data], cols=self.cols)

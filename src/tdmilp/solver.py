@@ -31,6 +31,7 @@ M_CAP = 10 ** 4  # largest certificate the scaling stage will accept
 BASIS_CAP = 10 ** 4  # most column bases the determinant scale will try
 VERTEX_CAP = 12  # most variables vertex_enumerate will take
 ORACLE_BOX_CAP = 10 ** 6  # most integer assignments milp_oracle will enumerate
+NODE_CAP = 10 ** 5  # most nodes ilp_solve will pop before CapExceededError
 
 
 def vertex_enumerate(a: Matrix, b: Sequence, lower: Sequence,
@@ -112,8 +113,9 @@ def ilp_solve(inst: MilpInstance) -> SolveResult:
     integer-first: it takes the most fractional of the inst.z integer
     columns, and only when those are all integral the most fractional of
     the continuous ones, counting such branches in
-    ``stats.continuous_branches``; an IlpInstance (z = n) branches on the
-    most fractional column overall.  The root LP is solved cold; each child
+    ``stats.continuous_branches``; a pure ILP (q = 0) branches on the
+    most fractional column overall.  Popping more than NODE_CAP nodes
+    raises CapExceededError.  The root LP is solved cold; each child
     LP is warm-started from its parent's optimal tableau
     (``lp_solve_exact``'s ``start``), whose basis stays dual feasible because a child only
     tightens one bound, so a dual simplex with Bland's tie-break (lowest
@@ -142,6 +144,8 @@ def ilp_solve(inst: MilpInstance) -> SolveResult:
     while heap:
         bound, _, res, lo, up = heapq.heappop(heap)
         stats.nodes += 1
+        if stats.nodes > NODE_CAP:
+            raise CapExceededError(f"branch and bound limited to {NODE_CAP} nodes")
         if incumbent is not None and bound >= incumbent.objective:
             continue
         branch_var = _most_fractional(res.x, range(z))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tdmilp import simplex
+from tdmilp import simplex, solver
 from tdmilp.cli import main
 from tdmilp.fileformat import ParseError, parse_instance, serialize_instance
 from tdmilp.integralize import FeasibilityError
@@ -75,6 +75,16 @@ lb 0 0 0 0
 ub 1 1 1 1
 """
 
+
+# 2x - 2y = 1 has no integer point; branch and bound pops 20 nodes
+PARITY = """MILP v1
+vars 2
+ints 0 1
+obj 0 0
+row 2 -2 = 1
+lb 0 0
+ub 10 10
+"""
 
 # line 3 is the ints line, lines 5 and 6 the rows
 TWO_ROWS = ["MILP v1", "vars 2", "ints 0", "obj 1 1", "row 1 1 = 1", "row 1 -1 = 1",
@@ -332,6 +342,24 @@ class TestCommands:
         assert code == 4
         assert out == ""
         assert err.getvalue() == "error: pivot cap exceeded\n"
+
+    def test_node_cap_exit_code(self, monkeypatch):
+        monkeypatch.setattr(solver, "NODE_CAP", 5)
+        err = io.StringIO()
+        code, out = run_cli(["solve"], stdin=PARITY, err=err)
+        assert code == 3
+        assert out == ""
+        assert err.getvalue() == "cap exceeded: branch and bound limited to 5 nodes\n"
+
+    def test_main_builds_no_parser(self, monkeypatch):
+        # main parses with the parser the module built once
+        def fail():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr("tdmilp.cli.build_parser", fail)
+        code, out = run_cli(["solve"], stdin=TINY)
+        assert code == 0
+        assert out.startswith("status=optimal\n")
 
     def test_solve_scale_past_digit_limit(self):
         # lcm(1..9950) is past the digit limit; its gcd with the determinant

@@ -5,7 +5,7 @@ import pytest
 
 from tdmilp.families import (FamilySpec, MipDescriptor, generate,
                              reduce_ilp_to_milp, verify_family)
-from tdmilp.integralize import pure_ilp
+from tdmilp.integralize import MilpInstance, pure_ilp
 from tdmilp.linalg import Matrix, fractionality, mat_inverse
 from tdmilp.solver import ilp_solve, milp_oracle
 from tdmilp.structure import dual_graph, primal_graph
@@ -117,6 +117,13 @@ class TestReduction:
         assert res.status == "optimal"
         # the continuous copy is forced integral by the identity rows
         assert all(v.denominator == 1 for v in res.x)
+
+    def test_mixed_instance_rejected(self):
+        mixed = MilpInstance(a_int=Matrix([[1]]), a_frac=Matrix([[2]]), b=(1,), c=(0, 0),
+                             lower=(0, 0), upper=(1, 1))
+        with pytest.raises(ValueError) as info:
+            reduce_ilp_to_milp(mixed)
+        assert str(info.value) == "reduce expects a pure ILP (no continuous variables)"
 
     def test_shape_matches_construction(self):
         ilp = pure_ilp(Matrix([[1, 2], [0, 1]]), (1, 1), (0, 0), (0, 0), (2, 2))

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from tdmilp.integralize import (FeasibilityError, IlpInstance, MilpInstance,
-                                choose_scale, integralize, pure_ilp, recover)
+from tdmilp.integralize import (FeasibilityError, MilpInstance, choose_scale, integralize,
+                                pure_ilp, recover)
 from tdmilp.linalg import Matrix
 from tdmilp.structure import dual_graph, primal_graph
 
@@ -121,9 +121,12 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         MilpInstance(a_int=Matrix([[1]]), a_frac=Matrix([[]], cols=0),
                      b=(1,), c=(0,), lower=(2,), upper=(1,))
-    with pytest.raises(ValueError):
-        IlpInstance(a_int=Matrix([[1]]), a_frac=Matrix([[1]]),
-                    b=(1,), c=(0, 0), lower=(0, 0), upper=(1, 1))
+
+
+def test_pure_ilp_is_a_milp_instance_with_no_continuous_columns():
+    inst = pure_ilp(Matrix([[1, 2]]), (3,), (1, 1), (0, 0), (2, 2))
+    assert type(inst) is MilpInstance
+    assert (inst.z, inst.q) == (2, 0)
 
 
 @pytest.mark.parametrize("field", ["b", "c", "lower", "upper"])

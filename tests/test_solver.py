@@ -103,6 +103,16 @@ class TestIlpSolve:
         assert root_start is None and len(children) == 2
         assert all(start is root for start, _ in children)
 
+    def test_node_cap(self, monkeypatch):
+        # 2x - 2y = 1 has no integer point; on [0, 10]^2 the search pops 20 nodes
+        inst = pure_ilp(Matrix([[2, -2]]), (1,), (0, 0), (0, 0), (10, 10))
+        res = ilp_solve(inst)
+        assert (res.status, res.stats.nodes) == ("infeasible", 20)
+        monkeypatch.setattr(solver, "NODE_CAP", 5)
+        with pytest.raises(CapExceededError) as info:
+            ilp_solve(inst)
+        assert str(info.value) == "branch and bound limited to 5 nodes"
+
     def test_against_box_enumeration(self):
         rng = random.Random(7)
         for _ in range(30):
