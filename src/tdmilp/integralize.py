@@ -135,7 +135,7 @@ def recover(z_opt: Sequence[int | Fraction], scale: int,
         raise ValueError("solution length mismatch")
     z = inst.z
     vals = [rational(v) for v in z_opt]
-    x = tuple(vals[:z]) + tuple(Fraction(v, scale) for v in vals[z:])
+    x = tuple(vals[:z]) + tuple(rational(Fraction(v, scale)) for v in vals[z:])
     lhs = zip(inst.a_int.apply_vector(vals[:z]), inst.a_frac.apply_vector(vals[z:]))
     for i, ((got_z, got_q), want) in enumerate(zip(lhs, inst.b)):
         got = scale * got_z + got_q

@@ -10,7 +10,13 @@ and bounds by a third; none changes a pivot.  Values become rationals only
 when the solution is read off.  Structural variables need finite bounds
 (instances here always carry boxes); the solver returns a basic feasible
 solution, so the basis columns are invertible and every non-basic variable
-sits at a bound.
+sits at a bound.  The returned values are in the library's scalar form: an
+int where a value is integral, else a Fraction.
+
+Besides the tableau rows the state carries the phase-2 reduced-cost row,
+times the common denominator; every pivot updates it by the same Bareiss
+step as the rows, so the dual simplex reads reduced costs without
+recomputing them.  The cold phases price from scratch each pivot.
 
 Warm start: an optimal result carries its final tableau, and a later call
 with ``start=`` that result and new bounds (same a, b and c) copies it, moves
@@ -26,7 +32,6 @@ the violated bound, ties to the lowest index.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -49,10 +54,11 @@ class SolveStats:
 
 @dataclass
 class SolveResult:
-    """Outcome of an exact solve."""
+    """Outcome of an exact solve; each entry of ``x`` is an int where the
+    value is integral, else a Fraction."""
 
     status: str  # optimal | infeasible
-    x: Optional[tuple[Fraction, ...]] = None
+    x: Optional[tuple[int | Fraction, ...]] = None
     objective: Optional[Fraction] = None
     basis: Optional[tuple[int, ...]] = None
     stats: SolveStats = field(default_factory=SolveStats)
@@ -102,8 +108,10 @@ class _BoundedSimplex:
     divides exactly (Bareiss); the beta column is pivoted with the rest.
     Only the structural columns are kept, because an artificial column never
     enters.  ``lo`` and ``up`` hold ``scale`` times the structural bounds;
-    ``costs`` is ``cden`` times the phase-2 costs, zero on the artificials.
-    ``problem`` is the (a, b, c) solved, for checking a warm start.
+    ``costs`` is ``cden`` times the phase-2 costs, zero on the artificials,
+    and ``rc`` is ``den`` times their reduced costs on the structural
+    columns, a row of minors pivoted like the others.  ``problem`` is the
+    (a, b, c) solved, for checking a warm start.
     """
 
     def __init__(self, rows: IntRows, lo: list[int | Fraction], up: list[int | Fraction],
@@ -114,6 +122,7 @@ class _BoundedSimplex:
         self.problem = problem
         costs, self.cden = clear_denominators(c)
         self.costs = list(costs) + [0] * self.m
+        self.rc = list(costs)  # the artificial basis costs nothing
 
         # scaling the rows multiplies only the artificials, and scaling the
         # bounds multiplies every value by scale, so no pivot choice changes
@@ -248,14 +257,15 @@ class _BoundedSimplex:
             pivot_row = self.tableau[row] = [-v for v in pivot_row]
             p = -p
         den = self.den
-        for i, r in enumerate(self.tableau):
-            if i == row:
-                continue
+
+        def step(r: list[int]) -> list[int]:
             f = r[col]
             if f != 0:
-                self.tableau[i] = [(p * v - f * w) // den for v, w in zip(r, pivot_row)]
-            elif p != den:
-                self.tableau[i] = [p * v // den for v in r]
+                return [(p * v - f * w) // den for v, w in zip(r, pivot_row)]
+            return [p * v // den for v in r] if p != den else r
+
+        self.tableau = [pivot_row if i == row else step(r) for i, r in enumerate(self.tableau)]
+        self.rc = step(self.rc)  # zip stops before the beta column
         self.den = p
 
     def drive_out_artificials(self) -> None:
@@ -269,9 +279,10 @@ class _BoundedSimplex:
             self._exchange(i, piv_col, False)
 
     def dual_feasible(self, cols: Iterable[int]) -> bool:
-        """Every column in cols that can move prices out: its reduced cost is
-        >= 0 at its lower bound and <= 0 at its upper one."""
-        rc = self.reduced_costs(self.costs)
+        """Every column in cols that can move prices out on the carried row:
+        its reduced cost is >= 0 at its lower bound and <= 0 at its upper
+        one."""
+        rc = self.rc
         return all(rc[j] <= 0 if self.at_upper[j] else rc[j] >= 0
                    for j in cols if self.can_move(j))
 
@@ -285,10 +296,12 @@ class _BoundedSimplex:
         bounds, scale = clear_denominators([*lower, *upper], base=self.scale)
         lo, up = bounds[:n], bounds[n:]
         f = scale // self.scale
-        sx = copy.copy(self)
-        sx.stats = stats
+        sx = _BoundedSimplex.__new__(_BoundedSimplex)
+        sx.n, sx.m, sx.stats, sx.problem = n, self.m, stats, self.problem
+        sx.cden, sx.costs, sx.rc = self.cden, self.costs, self.rc[:]
         sx.scale, sx.lo, sx.up = scale, lo, up
         sx.tableau = [row[:] for row in self.tableau]
+        sx.den = self.den
         sx.basis = self.basis[:]
         sx.at_upper = self.at_upper[:]
         sx.is_basic = self.is_basic[:]
@@ -343,7 +356,7 @@ class _BoundedSimplex:
             # least |rc_j| / |T[r][j]|, held as a pair and compared by
             # cross-multiplication, ties to the lowest index
             entering, best_rc, best_a = -1, 0, 1
-            rc = self.reduced_costs(self.costs) if movers else []
+            rc = self.rc
             for j in movers:
                 rc_j, a_rj = abs(rc[j]), abs(pivot_row[j])
                 if entering < 0 or rc_j * best_a < best_rc * a_rj:
@@ -354,7 +367,8 @@ class _BoundedSimplex:
             self._exchange(leave_row, entering, to_upper)
 
     def result(self) -> SolveResult:
-        """The optimal solution read off the integer state, carrying it."""
+        """The optimal solution read off the integer state, carrying it;
+        each value an int where integral, else a Fraction."""
         n = self.n
         den = self.den
         num = [den * (u if at_up else l) for l, u, at_up in zip(self.lo, self.up, self.at_upper)]
@@ -363,7 +377,8 @@ class _BoundedSimplex:
         d = den * self.scale
         objective = Fraction(sum(cj * v for cj, v in zip(self.costs, num) if cj != 0),
                              d * self.cden)
-        return SolveResult(status="optimal", x=tuple(Fraction(v, d) for v in num),
+        x = tuple(v // d if v % d == 0 else Fraction(v, d) for v in num)
+        return SolveResult(status="optimal", x=x,
                            objective=objective, basis=tuple(sorted(self.basis)),
                            stats=self.stats, final=self)
 
@@ -378,8 +393,11 @@ def lp_solve_exact(a: Matrix, b: Sequence, lower: Sequence, upper: Sequence,
     TypeError.  ``start``, an optimal result of this function for the same
     a, b and c, warm-starts the solve from its final tableau by a dual
     simplex; a start that solved another problem raises ValueError.  A warm
-    optimum is checked to price out, and SolverError is raised if it does
-    not.  A solve past ``PIVOT_CAP`` pivots raises SolverError too.
+    optimum is checked against reduced costs recomputed from its basis: they
+    must equal the row the dual simplex carried and price out, else
+    SolverError is raised.  A solve past ``PIVOT_CAP`` pivots raises
+    SolverError too.  Each entry of ``x`` is an int where the value is
+    integral, else a Fraction.
     """
     n = a.cols
     if len(lower) != n or len(upper) != n or len(c) != n:
@@ -399,6 +417,8 @@ def lp_solve_exact(a: Matrix, b: Sequence, lower: Sequence, upper: Sequence,
         if sx is not None:
             if not sx.dual_iterate():
                 return SolveResult(status="infeasible", stats=stats)
+            if sx.reduced_costs(sx.costs) != sx.rc:
+                raise SolverError("warm start carried reduced costs its basis does not give")
             if not sx.dual_feasible(range(n)):
                 raise SolverError("warm start ended on a basis that does not price out")
             return sx.result()

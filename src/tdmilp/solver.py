@@ -87,7 +87,7 @@ def vertex_enumerate(a: Matrix, b: Sequence, lower: Sequence,
     return out
 
 
-def _most_fractional(x: Sequence[Fraction], cols: range) -> Optional[int]:
+def _most_fractional(x: Sequence[int | Fraction], cols: range) -> Optional[int]:
     """Index in cols whose value is farthest from integral; ties to the lowest.
 
     A value p/q lies |2*(p mod q) - q| / (2q) from the nearest half, so keys
@@ -181,7 +181,7 @@ def milp_oracle(inst: MilpInstance) -> SolveResult:
     if math.prod(inst.upper[j] - inst.lower[j] + 1 for j in range(z)) > ORACLE_BOX_CAP:
         raise CapExceededError(f"integer box volume exceeds {ORACLE_BOX_CAP}")
     best_obj: Optional[Fraction] = None
-    best_x: Optional[tuple[Fraction, ...]] = None
+    best_x: Optional[tuple[int | Fraction, ...]] = None
     ranges = [range(inst.lower[j], inst.upper[j] + 1) for j in range(z)]
     for assign in itertools.product(*ranges):
         residual_b = [inst.b[i] - sum(inst.a_int[i, j] * assign[j] for j in range(z))
@@ -193,7 +193,7 @@ def milp_oracle(inst: MilpInstance) -> SolveResult:
         total = sum(inst.c[j] * assign[j] for j in range(z)) + res.objective
         if best_obj is None or total < best_obj:
             best_obj = total
-            best_x = tuple(Fraction(v) for v in assign) + res.x
+            best_x = assign + res.x
     if best_obj is None:
         return SolveResult(status="infeasible")
     return SolveResult(status="optimal", x=best_x, objective=best_obj)

@@ -225,6 +225,16 @@ class TestStructuredInverse:
 
 
 class TestFracBound:
+    def test_bit_cap_boundary(self, monkeypatch):
+        # 15 has 4 bits, so its square estimates at exactly 8: kept exact at a
+        # cap of 8 bits; one bit more is only estimated
+        monkeypatch.setattr(fracbound, "BIT_CAP", 8)
+        fifteen = fracbound._of(15)
+        assert fracbound._mul(fifteen, fifteen).exact == 225
+        assert fracbound._power(fifteen, 2).exact == 225
+        assert fracbound._mul(fifteen, fracbound._of(16)).exact is None
+        assert fracbound._power(fracbound._of(7), 3).exact is None
+
     def test_single_column_gives_norm(self):
         a = Matrix([[3], [2]])
         f = TdDecomposition([None])

@@ -279,6 +279,44 @@ class TestWarmStart:
                 _assert_basic_feasible(warm, a, b, lower, upper)
             parent = warm
 
+    @settings(max_examples=200, deadline=None)
+    @given(lp=st.one_of(integer_lps(), rational_lps()), data=st.data())
+    def test_carried_reduced_costs_match_fresh_ones(self, lp, data):
+        # a chain of warm children as branch and bound makes them: each takes
+        # the floor or the ceiling of a fractional basic column of the last
+        # (integral boxes, so both bounds stay integral)
+        a, b, lower, upper, c = lp
+        res = lp_solve_exact(a, b, lower, upper, c)
+        for _ in range(4):
+            if res.status != "optimal":
+                return
+            sx = res.final
+            assert sx.rc == sx.reduced_costs(sx.costs)
+            fractional = [j for j in res.basis if type(res.x[j]) is Fraction]
+            if not fractional:
+                return
+            j = data.draw(st.sampled_from(fractional))
+            lower, upper = list(lower), list(upper)
+            if data.draw(st.booleans()):
+                upper[j] = math.floor(res.x[j])
+            else:
+                lower[j] = math.ceil(res.x[j])
+            res = lp_solve_exact(a, b, lower, upper, c, start=res)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_pivot_cap_boundary(self, monkeypatch, warm):
+        # the cold solve takes 5 pivots; its child with x3 fixed at 0 takes 3
+        a, b, lower, upper, c = (Matrix([[-1, 1, 0, -2], [-2, 1, 1, 1]]), [-1, 0], [0] * 4,
+                                 [1, 3, 3, 1], [2, -2, 1, 1])
+        start, pivots = None, 5
+        if warm:
+            start, upper, pivots = lp_solve_exact(a, b, lower, upper, c), [1, 3, 3, 0], 3
+        monkeypatch.setattr(tdmilp.simplex, "PIVOT_CAP", pivots)
+        assert lp_solve_exact(a, b, lower, upper, c, start=start).stats.pivots == pivots
+        monkeypatch.setattr(tdmilp.simplex, "PIVOT_CAP", pivots - 1)
+        with pytest.raises(SolverError, match="pivot cap"):
+            lp_solve_exact(a, b, lower, upper, c, start=start)
+
     def test_pivot_cap_applies(self, monkeypatch):
         (a, b, lower, upper, c), (lo, up), _ = WARM_PINNED["ratio_tie"]
         parent = lp_solve_exact(a, b, lower, upper, c)

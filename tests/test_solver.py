@@ -61,6 +61,9 @@ class TestVertexEnumerate:
         with pytest.raises(CapExceededError):
             vertex_enumerate(Matrix.identity(13), [0] * 13, [0] * 13, [1] * 13)
 
+    def test_accepts_the_cap(self):
+        assert vertex_enumerate(Matrix.identity(12), [0] * 12, [0] * 12, [1] * 12) == [(0,) * 12]
+
 
 class TestIlpSolve:
     def test_infeasible_parity(self):
@@ -108,10 +111,12 @@ class TestIlpSolve:
         inst = pure_ilp(Matrix([[2, -2]]), (1,), (0, 0), (0, 0), (10, 10))
         res = ilp_solve(inst)
         assert (res.status, res.stats.nodes) == ("infeasible", 20)
-        monkeypatch.setattr(solver, "NODE_CAP", 5)
+        monkeypatch.setattr(solver, "NODE_CAP", 20)
+        assert ilp_solve(inst).stats.nodes == 20
+        monkeypatch.setattr(solver, "NODE_CAP", 19)
         with pytest.raises(CapExceededError) as info:
             ilp_solve(inst)
-        assert str(info.value) == "branch and bound limited to 5 nodes"
+        assert str(info.value) == "branch and bound limited to 19 nodes"
 
     def test_against_box_enumeration(self):
         rng = random.Random(7)
@@ -285,11 +290,28 @@ class TestDeterminantScale:
 class TestNoFloats:
     """A float compares equal to the rational it stands for, and the
     benchmark's checker reads 0.5 as 1/2, so only the types show one that
-    escaped the exact arithmetic."""
+    escaped the exact arithmetic.  Values are in scalar form: an int exactly
+    where integral, in every node LP, the branch and bound and the mixed
+    optimum."""
 
     @staticmethod
     def check(inst):
-        res, report = milp_solve(inst)
+        solved = []
+
+        def recording(solve):
+            def call(*args, **kwargs):
+                solved.append(solve(*args, **kwargs))
+                return solved[-1]
+            return call
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "lp_solve_exact", recording(lp_solve_exact))
+            patch.setattr(solver, "ilp_solve", recording(ilp_solve))
+            res, report = milp_solve(inst)
+        assert solved[-1].stats is res.stats  # ilp_solve's, after its node LPs
+        for r in (*solved, res):
+            if r.status == "optimal":
+                assert all(type(v) is (int if v.denominator == 1 else Fraction) for v in r.x)
         scaled = integralize(inst, report.scale)
         assert all(type(v) is int for v in scaled.matrix.entries())
         assert all(type(v) is int
