@@ -13,10 +13,11 @@ solution, so the basis columns are invertible and every non-basic variable
 sits at a bound.  The returned values are in the library's scalar form: an
 int where a value is integral, else a Fraction.
 
-Besides the tableau rows the state carries the phase-2 reduced-cost row,
-times the common denominator; every pivot updates it by the same Bareiss
-step as the rows, so the dual simplex reads reduced costs without
-recomputing them.  The cold phases price from scratch each pivot.
+Besides the tableau rows the state carries the reduced-cost row of the
+current phase, times the common denominator, and every pivot updates it by
+the same Bareiss step as the rows: phase 1, phase 2 and the dual simplex all
+price from that one row, recomputed from scratch only when phase 2 begins.
+Every optimum, cold or warm, is checked against a fresh row on the way out.
 
 Warm start: an optimal result carries its final tableau, and a later call
 with ``start=`` that result and new bounds (same a, b and c) copies it, moves
@@ -54,12 +55,12 @@ class SolveStats:
 
 @dataclass
 class SolveResult:
-    """Outcome of an exact solve; each entry of ``x`` is an int where the
-    value is integral, else a Fraction."""
+    """Outcome of an exact solve; each entry of ``x``, and the objective, is
+    an int where the value is integral, else a Fraction."""
 
     status: str  # optimal | infeasible
     x: Optional[tuple[int | Fraction, ...]] = None
-    objective: Optional[Fraction] = None
+    objective: Optional[int | Fraction] = None
     basis: Optional[tuple[int, ...]] = None
     stats: SolveStats = field(default_factory=SolveStats)
     # the optimal tableau of lp_solve_exact, read only by its start=
@@ -108,10 +109,11 @@ class _BoundedSimplex:
     divides exactly (Bareiss); the beta column is pivoted with the rest.
     Only the structural columns are kept, because an artificial column never
     enters.  ``lo`` and ``up`` hold ``scale`` times the structural bounds;
-    ``costs`` is ``cden`` times the phase-2 costs, zero on the artificials,
-    and ``rc`` is ``den`` times their reduced costs on the structural
-    columns, a row of minors pivoted like the others.  ``problem`` is the
-    (a, b, c) solved, for checking a warm start.
+    ``costs`` is ``cden`` times the phase-2 costs of the structural columns,
+    and ``rc`` is ``den`` times the reduced costs of the current phase on
+    them, a row of minors pivoted like the others: phase 1 costs 1 per
+    artificial and nothing else, phase 2 costs ``costs``.  ``problem`` is
+    the (a, b, c) solved, for checking a warm start.
     """
 
     def __init__(self, rows: IntRows, lo: list[int | Fraction], up: list[int | Fraction],
@@ -120,9 +122,7 @@ class _BoundedSimplex:
         self.m = len(rows)
         self.stats = stats
         self.problem = problem
-        costs, self.cden = clear_denominators(c)
-        self.costs = list(costs) + [0] * self.m
-        self.rc = list(costs)  # the artificial basis costs nothing
+        self.costs, self.cden = clear_denominators(c)
 
         # scaling the rows multiplies only the artificials, and scaling the
         # bounds multiplies every value by scale, so no pivot choice changes
@@ -136,6 +136,8 @@ class _BoundedSimplex:
             beta = row[n] * self.scale - sum(v * l for v, l in zip(row, self.lo) if v != 0)
             sign = -1 if beta < 0 else 1
             self.tableau.append([sign * v for v in row[:n]] + [sign * beta])
+        # the phase-1 row: each basic artificial costs 1
+        self.rc = [-sum(row[j] for row in self.tableau) for j in range(n)]
         self.basis = list(range(n, n + self.m))
         self.at_upper = [False] * (n + self.m)
         self.is_basic = [False] * n + [True] * self.m
@@ -150,10 +152,12 @@ class _BoundedSimplex:
         """Some basic artificial is nonzero (all are >= 0 throughout)."""
         return any(row[self.n] for k, row in zip(self.basis, self.tableau) if k >= self.n)
 
-    def reduced_costs(self, costs: list[int]) -> list[int]:
-        """den times the reduced cost of each structural column (0 on the
-        basic ones); den > 0 keeps the signs."""
-        rc = [cj * self.den for cj in costs[:self.n]]
+    def reduced_costs(self) -> list[int]:
+        """den times the phase-2 reduced cost of each structural column (0
+        on the basic ones), from scratch; den > 0 keeps the signs.  No
+        artificial may be basic."""
+        costs = self.costs
+        rc = [cj * self.den for cj in costs]
         for k, row in zip(self.basis, self.tableau):
             cb = costs[k]
             if cb != 0:
@@ -164,30 +168,24 @@ class _BoundedSimplex:
         """Non-basic j with room between its bounds."""
         return not self.is_basic[j] and self.lo[j] != self.up[j]
 
-    def iterate(self, costs: list[int]) -> None:
-        """Pivot to optimality; only structural columns may enter (Bland).
+    def improves(self, j: int) -> bool:
+        """j can move and its carried reduced cost has the wrong sign for
+        its bound: < 0 at its lower bound or > 0 at its upper one."""
+        rc = self.rc[j]
+        return (rc > 0 if self.at_upper[j] else rc < 0) and self.can_move(j)
 
-        Costs are ints; a positive multiple of the costs prices alike.
-        """
+    def iterate(self) -> None:
+        """Pivot to optimality on the carried row; only structural columns
+        may enter, the lowest-indexed improving one first (Bland)."""
         n = self.n
         lo, up = self.lo, self.up
         while True:
             if self.stats.pivots > PIVOT_CAP:
                 raise SolverError("pivot cap exceeded")
-            entering = -1
-            direction = 0
-            rc = self.reduced_costs(costs)
-            for j in range(n):
-                if not self.can_move(j):
-                    continue
-                if not self.at_upper[j] and rc[j] < 0:
-                    entering, direction = j, 1
-                    break
-                if self.at_upper[j] and rc[j] > 0:
-                    entering, direction = j, -1
-                    break
+            entering = next((j for j in range(n) if self.improves(j)), -1)
             if entering < 0:
                 return
+            direction = -1 if self.at_upper[entering] else 1
 
             # candidate steps of the entering variable, each held as num / dl
             # = scale times the step and compared by cross-multiplication: its
@@ -279,12 +277,8 @@ class _BoundedSimplex:
             self._exchange(i, piv_col, False)
 
     def dual_feasible(self, cols: Iterable[int]) -> bool:
-        """Every column in cols that can move prices out on the carried row:
-        its reduced cost is >= 0 at its lower bound and <= 0 at its upper
-        one."""
-        rc = self.rc
-        return all(rc[j] <= 0 if self.at_upper[j] else rc[j] >= 0
-                   for j in cols if self.can_move(j))
+        """No column in cols improves: each prices out on the carried row."""
+        return not any(self.improves(j) for j in cols)
 
     def warm(self, lower: Sequence[int | Fraction], upper: Sequence[int | Fraction],
              stats: SolveStats) -> Optional[_BoundedSimplex]:
@@ -367,16 +361,21 @@ class _BoundedSimplex:
             self._exchange(leave_row, entering, to_upper)
 
     def result(self) -> SolveResult:
-        """The optimal solution read off the integer state, carrying it;
-        each value an int where integral, else a Fraction."""
+        """The optimal solution read off the integer state, carrying it, once
+        reduced costs recomputed from the basis equal the carried row and
+        price out (else SolverError); x and the objective in scalar form."""
         n = self.n
+        if self.reduced_costs() != self.rc:
+            raise SolverError("carried reduced costs differ from those of the final basis")
+        if not self.dual_feasible(range(n)):
+            raise SolverError("final basis does not price out")
         den = self.den
         num = [den * (u if at_up else l) for l, u, at_up in zip(self.lo, self.up, self.at_upper)]
         for k, row in zip(self.basis, self.tableau):
             num[k] = row[n]
         d = den * self.scale
-        objective = Fraction(sum(cj * v for cj, v in zip(self.costs, num) if cj != 0),
-                             d * self.cden)
+        objective = rational(Fraction(sum(cj * v for cj, v in zip(self.costs, num) if cj != 0),
+                                      d * self.cden))
         x = tuple(v // d if v % d == 0 else Fraction(v, d) for v in num)
         return SolveResult(status="optimal", x=x,
                            objective=objective, basis=tuple(sorted(self.basis)),
@@ -392,12 +391,13 @@ def lp_solve_exact(a: Matrix, b: Sequence, lower: Sequence, upper: Sequence,
     status.  b, the bounds and c go through ``rational``, so a float raises
     TypeError.  ``start``, an optimal result of this function for the same
     a, b and c, warm-starts the solve from its final tableau by a dual
-    simplex; a start that solved another problem raises ValueError.  A warm
+    simplex; a start that solved another problem raises ValueError.  Every
+    pivot, cold or warm, prices from the carried reduced-cost row, and every
     optimum is checked against reduced costs recomputed from its basis: they
-    must equal the row the dual simplex carried and price out, else
-    SolverError is raised.  A solve past ``PIVOT_CAP`` pivots raises
-    SolverError too.  Each entry of ``x`` is an int where the value is
-    integral, else a Fraction.
+    must equal the carried row and price out, else SolverError is raised.  A
+    solve past ``PIVOT_CAP`` pivots raises SolverError too.  Each entry of
+    ``x``, and the objective, is an int where the value is integral, else a
+    Fraction.
     """
     n = a.cols
     if len(lower) != n or len(upper) != n or len(c) != n:
@@ -417,10 +417,6 @@ def lp_solve_exact(a: Matrix, b: Sequence, lower: Sequence, upper: Sequence,
         if sx is not None:
             if not sx.dual_iterate():
                 return SolveResult(status="infeasible", stats=stats)
-            if sx.reduced_costs(sx.costs) != sx.rc:
-                raise SolverError("warm start carried reduced costs its basis does not give")
-            if not sx.dual_feasible(range(n)):
-                raise SolverError("warm start ended on a basis that does not price out")
             return sx.result()
 
     rows = _integer_rows(a, b)
@@ -429,9 +425,10 @@ def lp_solve_exact(a: Matrix, b: Sequence, lower: Sequence, upper: Sequence,
     stats = SolveStats()
     sx = _BoundedSimplex(rows, lo, up, c, (a, b, c), stats)
 
-    sx.iterate([0] * n + [1] * sx.m)
+    sx.iterate()
     if sx.infeasible():
         return SolveResult(status="infeasible", stats=stats)
     sx.drive_out_artificials()
-    sx.iterate(sx.costs)
+    sx.rc = sx.reduced_costs()
+    sx.iterate()
     return sx.result()

@@ -180,7 +180,7 @@ def milp_oracle(inst: MilpInstance) -> SolveResult:
         return lp_solve_exact(inst.matrix, inst.b, inst.lower, inst.upper, inst.c)
     if math.prod(inst.upper[j] - inst.lower[j] + 1 for j in range(z)) > ORACLE_BOX_CAP:
         raise CapExceededError(f"integer box volume exceeds {ORACLE_BOX_CAP}")
-    best_obj: Optional[Fraction] = None
+    best_obj: Optional[int | Fraction] = None
     best_x: Optional[tuple[int | Fraction, ...]] = None
     ranges = [range(inst.lower[j], inst.upper[j] + 1) for j in range(z)]
     for assign in itertools.product(*ranges):
@@ -215,7 +215,7 @@ class PipelineReport:
     m_value: int = 1
     scale: int = 1
     ilp_nodes: int = 0
-    scaled_objective: Optional[Fraction] = None
+    scaled_objective: Optional[int | Fraction] = None
     notes: list[str] = field(default_factory=list)
 
     def machine_lines(self) -> list[str]:
@@ -383,6 +383,6 @@ def milp_solve(inst: MilpInstance,
 
     report.scaled_objective = ilp_res.objective
     x = recover(ilp_res.x, scale, inst)
-    res = SolveResult(status="optimal", x=x, objective=Fraction(ilp_res.objective, scale),
-                      basis=ilp_res.basis, stats=ilp_res.stats)
-    return res, report
+    objective = rational(Fraction(ilp_res.objective, scale))
+    return SolveResult(status="optimal", x=x, objective=objective, basis=ilp_res.basis,
+                       stats=ilp_res.stats), report

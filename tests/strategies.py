@@ -62,16 +62,19 @@ def rational_lps(draw):
 
 
 @st.composite
-def integer_lps(draw):
+def integer_lps(draw, spare=None):
     """Feasible LPs (a, b, lower, upper, c) with up to 3 rows and 6 columns,
     entries of a and c in -3..3, integral boxes at most 4 wide, and b = a x0
-    for a point x0 of the box on the half-integers."""
+    for a point x0 of the box on the half-integers.  With ``spare`` set there
+    are at least that many more columns than rows and no box is one point,
+    so a bound tightened on a fractional basic column leaves the dual
+    simplex columns to pivot on."""
     rows = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1 if spare is None else rows + spare, 6))
     coeff = st.integers(-3, 3)
     a = Matrix([draw(st.lists(coeff, min_size=n, max_size=n)) for _ in range(rows)])
     lower = draw(st.lists(st.integers(-2, 1), min_size=n, max_size=n))
-    upper = [lo + draw(st.integers(0, 4)) for lo in lower]
+    upper = [lo + draw(st.integers(0 if spare is None else 1, 4)) for lo in lower]
     x0 = [lo + Fraction(draw(st.integers(0, 2 * (up - lo))), 2) for lo, up in zip(lower, upper)]
     return a, list(a.apply_vector(x0)), lower, upper, draw(st.lists(coeff, min_size=n, max_size=n))
 

@@ -202,6 +202,15 @@ class TestMilpOracle:
         with pytest.raises(CapExceededError, match="exceeds 100$"):
             milp_oracle(inst)
 
+    def test_box_cap_boundary(self, monkeypatch):
+        # a box of 3 * 3 = 9 integer points
+        inst = pure_ilp(Matrix([[1, 1]]), (3,), (1, 1), (0, 0), (2, 2))
+        monkeypatch.setattr(solver, "ORACLE_BOX_CAP", 9)
+        assert milp_oracle(inst).objective == 3
+        monkeypatch.setattr(solver, "ORACLE_BOX_CAP", 8)
+        with pytest.raises(CapExceededError, match="exceeds 8$"):
+            milp_oracle(inst)
+
 
 class TestDeterminantScale:
     @settings(max_examples=250, deadline=None)
@@ -244,6 +253,15 @@ class TestDeterminantScale:
         col_order = data.draw(st.permutations(range(q)))
         a = Matrix(rows).submatrix(row_order, col_order)
         assert _determinant_scale(a) == determinant_scale_by_enumeration(a)
+
+    def test_basis_cap_boundary(self, monkeypatch):
+        # C(3, 2) = 3 candidate bases, of det 1, 2 and 2
+        a = Matrix([[1, 1, 0], [0, 1, 2]])
+        monkeypatch.setattr(solver, "BASIS_CAP", 3)
+        assert _determinant_scale(a) == (2, 2)
+        monkeypatch.setattr(solver, "BASIS_CAP", 2)
+        with pytest.raises(CapExceededError, match=r"limited to 2 bases, got C\(3,2\)$"):
+            _determinant_scale(a)
 
     def test_block_diagonal_part_enumerates_each_block(self, monkeypatch):
         # a 7x14 continuous part of a 3x6 and a 4x8 block: C(6,3) + C(8,4)
@@ -290,9 +308,9 @@ class TestDeterminantScale:
 class TestNoFloats:
     """A float compares equal to the rational it stands for, and the
     benchmark's checker reads 0.5 as 1/2, so only the types show one that
-    escaped the exact arithmetic.  Values are in scalar form: an int exactly
-    where integral, in every node LP, the branch and bound and the mixed
-    optimum."""
+    escaped the exact arithmetic.  Values and objectives are in scalar form:
+    an int exactly where integral, in every node LP, the branch and bound,
+    the mixed optimum and the report's scaled objective."""
 
     @staticmethod
     def check(inst):
@@ -309,17 +327,17 @@ class TestNoFloats:
             patch.setattr(solver, "ilp_solve", recording(ilp_solve))
             res, report = milp_solve(inst)
         assert solved[-1].stats is res.stats  # ilp_solve's, after its node LPs
+        scalars = [report.scaled_objective] if res.status == "optimal" else []
         for r in (*solved, res):
             if r.status == "optimal":
-                assert all(type(v) is (int if v.denominator == 1 else Fraction) for v in r.x)
+                scalars += [*r.x, r.objective]
+        assert all(type(v) is (int if v.denominator == 1 else Fraction) for v in scalars)
         scaled = integralize(inst, report.scale)
         assert all(type(v) is int for v in scaled.matrix.entries())
         assert all(type(v) is int
                    for v in (*scaled.b, *scaled.c, *scaled.lower, *scaled.upper))
         if res.status != "optimal":
             return
-        assert all(type(v) in (int, Fraction) for v in res.x)
-        assert type(res.objective) in (int, Fraction)
         a, z, scale = inst.matrix, inst.z, report.scale
         y = [v if j < z else v * scale for j, v in enumerate(res.x)]
         assert recover(y, scale, inst) == res.x
@@ -394,6 +412,18 @@ class TestScaleWitness:
         assert report.notes == ["certificate capped at log2~3; determinant scale"]
         assert (report.m_source, report.m_value, report.scale) == ("determinant", 2, 2)
         assert (res.status, res.objective) == ("optimal", Fraction(1, 2))
+
+    def test_certificate_at_the_usable_cap(self, monkeypatch):
+        # the certificate of 2 y = 1 is 2: usable under M_CAP = 2, not under 1
+        inst = MilpInstance(a_int=Matrix([[]], cols=0), a_frac=Matrix([[2]]),
+                            b=(1,), c=(1,), lower=(0,), upper=(1,))
+        monkeypatch.setattr(solver, "M_CAP", 2)
+        _, report = milp_solve(inst)
+        assert (report.m_source, report.m_value, report.notes) == ("certificate", 2, [])
+        monkeypatch.setattr(solver, "M_CAP", 1)
+        _, report = milp_solve(inst)
+        assert (report.m_source, report.m_value) == ("determinant", 2)
+        assert report.notes == ["certificate exceeded usable cap; determinant scale"]
 
     def test_certificate_past_the_usable_cap_takes_the_determinant_scale(self):
         # x0 + 10001 y = 1: the certificate of the continuous column is
@@ -508,7 +538,7 @@ class TestPipeline:
         assert res.status == ora.status
         if res.status != "optimal":
             return
-        assert res.objective == ora.objective
+        assert (res.objective, type(res.objective)) == (ora.objective, type(ora.objective))
         x = res.x
         assert inst.matrix.apply_vector(x) == tuple(Fraction(v) for v in inst.b)
         assert all(lo <= v <= up for lo, v, up in zip(inst.lower, x, inst.upper))

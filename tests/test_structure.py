@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdmilp import structure
 from tdmilp.linalg import Matrix
 from tdmilp.structure import (CapExceededError, Graph, StructureError,
                               TdDecomposition, check_fit, connected_components,
@@ -100,6 +101,23 @@ class TestTdCompute:
             td_compute(path_graph(20), "exact")
         with pytest.raises(StructureError):
             td_compute(Graph(2, []), "exact")  # disconnected
+
+    def test_exact_cap_boundary(self, monkeypatch):
+        # td_compute reads EXACT_TD_CAP when it runs
+        monkeypatch.setattr(structure, "EXACT_TD_CAP", 4)
+        assert td_stats(td_compute(path_graph(4), "exact")).height == 3
+        with pytest.raises(CapExceededError, match="limited to 4 vertices, got 5$"):
+            td_compute(path_graph(5), "exact")
+
+    def test_auto_mode_is_exact_up_to_the_cap(self):
+        # the primal graph is the 4-vertex path, which the exact search
+        # roots at vertex 0 and the heuristic at vertex 1
+        a = Matrix([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
+        exact = decomposition_for_matrix(a, "primal", "exact")
+        heuristic = decomposition_for_matrix(a, "primal", "heuristic")
+        assert (exact.parent, heuristic.parent) == ((None, 2, 0, 2), (1, None, 1, 2))
+        assert decomposition_for_matrix(a, "primal", "auto", 4).parent == exact.parent
+        assert decomposition_for_matrix(a, "primal", "auto", 3).parent == heuristic.parent
 
     def test_exact_matches_subset_dp(self):
         rng = random.Random(9)
