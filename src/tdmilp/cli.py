@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 infeasible, 2 usage or parse error (a singular or
 malformed matrix included), 3 a cap was exceeded, 4 internal
-invariant violation (a simplex failure such as its pivot cap, a branch on a
-continuous column under a certified scale, and a recovered solution that
-fails its check included).
+invariant violation (a simplex failure such as its pivot cap, an optimum
+with a continuous value off the grid of its certified scale, and a
+recovered solution that fails its check included).
 """
 
 from __future__ import annotations

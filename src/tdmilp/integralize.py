@@ -4,8 +4,8 @@ An instance keeps its constraint matrix split into the integer-variable part
 and the continuous-variable part, columns ordered (integer, continuous); a
 pure ILP is the instance with no continuous columns (q = 0).
 Scaling the continuous columns by a multiple of every optimal denominator
-puts an optimum on the integer grid, so an integer optimum of the scaled
-instance maps back exactly.
+puts an optimum on the integer grid; the solver keeps the original rows and
+checks that its optimum lies on that grid.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ def integralize(inst: MilpInstance, scale: int) -> MilpInstance:
     scale*a_int and a_frac as it is, right-hand side scale*b, continuous
     bounds multiplied by scale and objective (scale*c_Z, c_Q), so objective
     values scale uniformly and the nonzero pattern (hence both interaction
-    graphs) is unchanged.  When scale is a multiple of every optimal
-    denominator, solving it with every column integral loses no optimum.
+    graphs) is unchanged; branch and bound on the integer columns takes the
+    same nodes and pivots on it as on inst.
     """
     if scale < 1:
         raise ValueError("scale must be positive")

@@ -50,7 +50,6 @@ class SolverError(Exception):
 class SolveStats:
     pivots: int = 0
     nodes: int = 0
-    continuous_branches: int = 0  # branch and bound branches past the first z columns
 
 
 @dataclass

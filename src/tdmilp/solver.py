@@ -1,10 +1,10 @@
-"""Exact ILP branch and bound, the MILP scaling pipeline, and oracles.
+"""Exact branch and bound, the MILP pipeline, and oracles.
 
 The pipeline solves a mixed instance by bounding the denominators its optimal
 continuous part can need (certificate, cut by the determinant scale, when
-affordable; determinant scale otherwise), scaling onto the integer grid,
-solving the scaled instance with every column integral by integer-first
-branching, and mapping the optimum back.  ``vertex_enumerate`` and
+affordable; determinant scale otherwise), branching on the integer columns
+of the instance as given, and checking that the scale puts the optimum's
+continuous values on the integer grid.  ``vertex_enumerate`` and
 ``milp_oracle`` are brute-force oracles; the pipeline uses neither.
 """
 
@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .fracbound import CapExceededError as CertCapError
 from .fracbound import frac_bound
-from .integralize import MilpInstance, choose_scale, integralize, recover
+from .integralize import MilpInstance, choose_scale, recover
 from .linalg import (Matrix, SingularMatrixError, forward_eliminate, mat_det, mat_inverse,
                      rational)
 from .simplex import SolveResult, SolveStats, SolverError, lp_solve_exact, reduce_rows
@@ -106,26 +106,22 @@ def _most_fractional(x: Sequence[int | Fraction], cols: range) -> Optional[int]:
 
 
 def ilp_solve(inst: MilpInstance) -> SolveResult:
-    """Exact optimum over integer points by best-bound branch and bound.
+    """Exact optimum with the inst.z integer columns integral, by best-bound
+    branch and bound.
 
-    Every column is required to be integral.  Relaxations are solved by the
-    exact simplex and pruning compares rationals exactly.  Branching is
-    integer-first: it takes the most fractional of the inst.z integer
-    columns, and only when those are all integral the most fractional of
-    the continuous ones, counting such branches in
-    ``stats.continuous_branches``; a pure ILP (q = 0) branches on the
-    most fractional column overall.  Popping more than NODE_CAP nodes
-    raises CapExceededError.  The root LP is solved cold; each child
-    LP is warm-started from its parent's optimal tableau
-    (``lp_solve_exact``'s ``start``), whose basis stays dual feasible because a child only
-    tightens one bound, so a dual simplex with Bland's tie-break (lowest
-    index leaves; least ratio enters, ties to the lowest index) replaces
-    both phases.  At a non-unique LP optimum it may pick another vertex
-    than a cold solve, which can change ``x`` and the node count, never the
-    status or the objective.
+    Relaxations are solved by the exact simplex and pruning compares
+    rationals exactly.  Each branch takes the most fractional integer
+    column; a node whose integer columns are integral is taken as it is.
+    Popping more than NODE_CAP nodes raises CapExceededError.  The root LP
+    is solved cold; each child LP is warm-started from its parent's optimal
+    tableau (``lp_solve_exact``'s ``start``), whose basis stays dual
+    feasible because a child only tightens one bound, so a dual simplex
+    with Bland's tie-break (lowest index leaves; least ratio enters, ties to
+    the lowest index) replaces both phases.  At a non-unique LP optimum it
+    may pick another vertex than a cold solve, which can change ``x`` and
+    the node count, never the status or the objective.
     """
     matrix = inst.matrix
-    n, z = matrix.cols, inst.z
     stats = SolveStats()
     counter = itertools.count()
     root = (inst.lower, inst.upper)
@@ -148,13 +144,10 @@ def ilp_solve(inst: MilpInstance) -> SolveResult:
             raise CapExceededError(f"branch and bound limited to {NODE_CAP} nodes")
         if incumbent is not None and bound >= incumbent.objective:
             continue
-        branch_var = _most_fractional(res.x, range(z))
+        branch_var = _most_fractional(res.x, range(inst.z))
         if branch_var is None:
-            branch_var = _most_fractional(res.x, range(z, n))
-            if branch_var is None:
-                incumbent = res
-                continue
-            stats.continuous_branches += 1
+            incumbent = res
+            continue
         v = res.x[branch_var]
         floor = v.numerator // v.denominator
         down_up = up[:branch_var] + (floor,) + up[branch_var + 1:]
@@ -344,18 +337,19 @@ def choose_side(matrix: Matrix, side: str
 
 def milp_solve(inst: MilpInstance,
                options: Optional[PipelineOptions] = None) -> tuple[SolveResult, PipelineReport]:
-    """Solve a mixed instance by scaling it onto the integer grid.
+    """Solve a mixed instance by branch and bound on its own rows, with a
+    scale onto the integer grid as a checked witness.
 
     Stages: analyse both interaction graphs and pick the shallower side;
     obtain a scale (1 for a pure ILP, else ``_grid_scale``'s, from the
-    fractionality certificate and the determinant scale); solve the scaled
-    instance, every column integral, by integer-first branch and bound;
-    recover and validate the mixed optimum, whose objective is the scaled
-    one over the scale.
-
-    Every scale is sound, so by Cramer's rule a node whose integer columns
-    are integral is a vertex with integral continuous columns too.  A branch
-    on a continuous column therefore raises SolverError.
+    fractionality certificate and the determinant scale); branch on the
+    integer columns; check that the scale times each continuous value of the
+    optimum is an integer, else raise SolverError; validate through
+    ``recover``.  The report's scaled objective is the scale times the
+    objective.  On ``integralize(inst, scale)``, a diagonal rescaling,
+    branch and bound would take the same path.  By Cramer's rule a sound
+    scale puts every node whose integer columns are integral on its grid,
+    and best-bound search accepts only the first such node.
     """
     options = options or PipelineOptions()
     report = PipelineReport()
@@ -373,16 +367,17 @@ def milp_solve(inst: MilpInstance,
         scale = _grid_scale(inst.a_frac, f, side, report)
     report.scale = scale
 
-    ilp_res = ilp_solve(integralize(inst, scale))
-    report.ilp_nodes = ilp_res.stats.nodes
-    if ilp_res.stats.continuous_branches:
-        raise SolverError(f"branched on a continuous column under m_source={report.m_source} "
-                          f"m={_number_text(report.m_value)} scale={_number_text(scale)}")
-    if ilp_res.status != "optimal":
-        return SolveResult(status=ilp_res.status, stats=ilp_res.stats), report
+    res = ilp_solve(inst)
+    report.ilp_nodes = res.stats.nodes
+    if res.status != "optimal":
+        return res, report
 
-    report.scaled_objective = ilp_res.objective
-    x = recover(ilp_res.x, scale, inst)
-    objective = rational(Fraction(ilp_res.objective, scale))
-    return SolveResult(status="optimal", x=x, objective=objective, basis=ilp_res.basis,
-                       stats=ilp_res.stats), report
+    z = inst.z
+    scaled = res.x[:z] + tuple(scale * v for v in res.x[z:])
+    if any(v.denominator != 1 for v in scaled):
+        raise SolverError(f"a continuous value is off the 1/scale grid under "
+                          f"m_source={report.m_source} m={_number_text(report.m_value)} "
+                          f"scale={_number_text(scale)}")
+    recover(scaled, scale, inst)  # FeasibilityError unless x is feasible
+    report.scaled_objective = rational(scale * res.objective)
+    return res, report

@@ -4,9 +4,10 @@ Everything here deliberately avoids the library's own algorithms: determinants
 come from permutation expansion, ranks and column bases from minors,
 treedepth from a bottom-up subset DP, integer optima from full box
 enumeration.  The one elimination here is textbook Gaussian elimination in
-``Fraction``s, the reference for the library's fraction-free kernel.  The
-one exception is the mixed-optimum reference, a plain branch and bound over
-the library's exact simplex that skips the scaling it checks.
+``Fraction``s, the reference for the library's fraction-free kernel; it
+also checks LP optima, by their basis, in ``Fraction``s.  The one exception
+is the mixed-optimum reference, a plain branch and bound over the library's
+exact simplex, which runs the library's own algorithm.
 """
 
 import heapq
@@ -116,6 +117,42 @@ def reference_inverse(m: Matrix):
         rows[i] = row
         inv[pivot] = row[n:]
     return Matrix(inv, cols=n)
+
+
+def check_lp_optimum(a: Matrix, b, lower, upper, c, res) -> None:
+    """Assert that res, an optimal result of ``lp_solve_exact`` on
+    ``min c.x, a x = b, lower <= x <= upper``, is an optimal basic solution.
+
+    In ``Fraction``s only: x meets the rows and the bounds, c.x is the
+    objective and every non-basic column sits at a bound.  On the rows a
+    Fraction elimination keeps, y solves ``B^T y = c_B`` for the basis B;
+    each non-basic column with room between its bounds then has a reduced
+    cost ``c_j - (a^T y)_j`` of the sign its bound needs, >= 0 at its lower
+    bound and <= 0 at its upper one.
+    """
+    n = a.cols
+    rows = [[Fraction(v) for v in a.row(i)] for i in range(a.rows)]
+    x = [Fraction(v) for v in res.x]
+    lo, up, cost = ([Fraction(v) for v in vec] for vec in (lower, upper, c))
+    assert [sum(r[j] * x[j] for j in range(n)) for r in rows] == [Fraction(v) for v in b]
+    assert all(lo[j] <= x[j] <= up[j] for j in range(n))
+    assert sum(cost[j] * x[j] for j in range(n)) == res.objective
+    nonbasic = [j for j in range(n) if j not in res.basis]
+    assert all(x[j] in (lo[j], up[j]) for j in nonbasic)
+
+    order, _ = fraction_elimination(rows, n)
+    keep = [rows[i] for i, pivot in order if pivot is not None]
+    assert len(keep) == len(res.basis)
+    y = []
+    if keep:
+        inv = reference_inverse(Matrix([[r[k] for r in keep] for k in res.basis]))
+        assert inv is not None  # the basis columns are independent
+        y = [sum(inv[i, k] * cost[col] for k, col in enumerate(res.basis))
+             for i in range(len(keep))]
+    for j in nonbasic:
+        d = cost[j] - sum(yi * r[j] for yi, r in zip(y, keep))
+        if lo[j] < up[j]:
+            assert d >= 0 if x[j] == lo[j] else d <= 0
 
 
 def determinant_scale_by_enumeration(a: Matrix) -> tuple[int, int]:
@@ -285,7 +322,10 @@ def milp_by_integer_branching(inst):
 
     Only the first z (integer) columns are branched on, the first fractional
     one each time; the first node popped whose integer columns are integral
-    is optimal, since no open node has a lower LP bound.
+    is optimal, since no open node has a lower LP bound.  ``ilp_solve`` runs
+    the same algorithm (it branches on the most fractional column instead),
+    so this is no independent evidence of its answers; ``milp_oracle``'s box
+    enumeration is.
     """
     heap = []
     order = count()  # ties pop in creation order

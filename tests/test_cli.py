@@ -398,13 +398,13 @@ class TestCommands:
         assert out.startswith("side=primal\n")
 
     def test_scale_witness_is_invariant_exit(self, monkeypatch):
-        # a scale of 1 cannot hold x0 = 1/2, so the solve branches on x0
+        # a scale of 1 cannot hold x0 = 1/2, so the optimum fails the witness
         monkeypatch.setattr("tdmilp.solver.choose_scale", lambda m: 1)
         err = io.StringIO()
         code, out = run_cli(["solve"], stdin=TINY, err=err)
         assert code == 4
         assert out == ""
-        assert err.getvalue() == ("error: branched on a continuous column under "
+        assert err.getvalue() == ("error: a continuous value is off the 1/scale grid under "
                                   "m_source=certificate m=2 scale=1\n")
 
     def test_failed_recovery_is_invariant_exit(self, monkeypatch):

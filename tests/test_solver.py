@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,8 @@ from tdmilp.solver import (PipelineOptions, PipelineReport, _determinant_scale,
 from tdmilp.structure import CapExceededError, TdDecomposition, td_stats
 from instances import (acceptance_corpus, dense_continuous, dense_continuous_exact,
                        nfold_one_integer, wide_certificate)
-from oracles import (determinant_scale_by_enumeration, ilp_by_box_enumeration,
-                     milp_by_integer_branching)
+from oracles import (check_lp_optimum, determinant_scale_by_enumeration,
+                     ilp_by_box_enumeration, milp_by_integer_branching)
 from strategies import mixed_instances
 
 
@@ -39,6 +40,13 @@ def random_mixed_instance(rng, z_max=3, q_max=4, mag=2, box=3):
     b = tuple(rng.randint(-mag - 1, mag + 1) for _ in range(m))
     c = tuple(rng.randint(-mag, mag) for _ in range(z + q))
     return MilpInstance(a_int=a_int, a_frac=a_frac, b=b, c=c, lower=lower, upper=upper)
+
+
+def feasible_mixed_instance(rng):
+    """A random mixed instance whose b is a x0 for an integer point x0 of its box."""
+    inst = random_mixed_instance(rng)
+    x0 = [rng.randint(lo, up) for lo, up in zip(inst.lower, inst.upper)]
+    return replace(inst, b=inst.matrix.apply_vector(x0))
 
 
 class TestVertexEnumerate:
@@ -152,21 +160,21 @@ class TestMostFractional:
 
 # mixed_bnb benchmark corpus problems 3, 4, 7 and 8 (boxes [-2, 2]): rows, b,
 # c, integer columns z, the scale milp_solve picks, then ilp_solve's
-# (status, x, nodes, pivots, continuous_branches) on the scaled instance
+# (status, x, nodes, pivots) on the scaled instance
 BNB_PINNED = {
     "bnb_3": ((((-1, 0, 3, 0, 3, 0, 2), (1, 0, 0, 0, 0, 0, 3), (0, -2, 1, 3, -3, -3, -1)),
                (-13, -1, 0), (4, -3, -2, 0, 1, -2, 0), 6, 2),
-              ("optimal", (2, 0, -1, 0, -2, 2, -2), 22, 39, 0)),
+              ("optimal", (2, 0, -1, 0, -2, 2, -2), 22, 39)),
     "bnb_4": ((((1, -1, -2, 1, -2, 1, 2, 3), (-1, 0, -2, 2, 2, -3, 3, -1),
                 (3, 1, 3, -2, 1, 0, -1, 0)),
                (-9, 2, 2), (-6, -6, -9, 1, 1, -3, -3, 4), 6, 11),
-              ("optimal", (0, 1, 1, 2, 2, 2, 0, -22), 98, 139, 0)),
+              ("optimal", (0, 1, 1, 2, 2, 2, 0, -22), 98, 139)),
     "bnb_7": ((((0, -2, 1, 1, -3, -3), (1, 0, -3, -3, 0, -3)),
                (-13, 7), (6, 1, 9, -6, 7, 2), 5, 3),
-              ("optimal", (-2, 2, -2, -1, 2, 0), 5, 11, 0)),
+              ("optimal", (-2, 2, -2, -1, 2, 0), 5, 11)),
     "bnb_8": ((((-2, 2, 1, 1, -3, -1), (0, -3, 1, 3, 1, 2), (-1, -1, 0, 3, -1, -2)),
                (9, -4, 2), (0, 2, -2, -5, 9, -2), 5, 1),
-              ("optimal", (-2, 2, -2, 1, -1, 1), 39, 56, 0)),
+              ("optimal", (-2, 2, -2, 1, -1, 1), 39, 56)),
 }
 
 
@@ -178,9 +186,13 @@ class TestBranchAndBoundPaths:
         inst = MilpInstance(a_int=Matrix([r[:z] for r in rows]),
                             a_frac=Matrix([r[z:] for r in rows]), b=b, c=c,
                             lower=(-2,) * n, upper=(2,) * n)
+        status, x, nodes, pivots = expected
         res = ilp_solve(integralize(inst, scale))
-        assert (res.status, res.x, res.stats.nodes, res.stats.pivots,
-                res.stats.continuous_branches) == expected
+        assert (res.status, res.x, res.stats.nodes, res.stats.pivots) == expected
+        # the instance as given takes the same path, x_Q on the 1/scale grid
+        direct = ilp_solve(inst)
+        assert (direct.status, direct.stats.nodes, direct.stats.pivots) == (status, nodes, pivots)
+        assert direct.x[:z] + tuple(scale * v for v in direct.x[z:]) == x
 
 
 class TestMilpOracle:
@@ -366,8 +378,10 @@ class TestNoFloats:
 class TestScaleWitness:
     @settings(max_examples=250, deadline=None)
     @given(inst=mixed_instances())
-    def test_sound_scale_never_branches_on_a_continuous_column(self, inst):
-        assert milp_solve(inst)[0].stats.continuous_branches == 0
+    def test_every_optimum_is_on_the_scale_grid(self, inst):
+        res, report = milp_solve(inst)
+        if res.status == "optimal":
+            assert all(report.scale % v.denominator == 0 for v in res.x[inst.z:])
 
     @settings(max_examples=300, deadline=None)
     @given(inst=mixed_instances())
@@ -377,10 +391,29 @@ class TestScaleWitness:
         except CapExceededError:
             assume(False)
         assert (res.status, res.objective) == milp_by_integer_branching(inst)
+        # the branching reference runs the library's algorithm; the oracle
+        # enumerates the integer box, at most 4^5 points here
+        ora = milp_oracle(inst)
+        assert (res.status, res.objective) == (ora.status, ora.objective)
+
+    @settings(max_examples=150, deadline=None)
+    @given(inst=mixed_instances(), k=st.sampled_from((1, 2, 7, math.lcm(*range(1, 13)))))
+    def test_scaled_instance_takes_the_same_path(self, inst, k):
+        # integralize is a diagonal rescaling, so under any multiple of a
+        # sound scale branch and bound makes the same choices on both
+        scale = k * milp_solve(inst)[1].scale
+        res = ilp_solve(inst)
+        scaled = ilp_solve(integralize(inst, scale))
+        assert ((scaled.status, scaled.stats.nodes, scaled.stats.pivots)
+                == (res.status, res.stats.nodes, res.stats.pivots))
+        if res.status == "optimal":
+            z = inst.z
+            assert scaled.x[:z] == res.x[:z]
+            assert scaled.x[z:] == tuple(scale * v for v in res.x[z:])
+            assert scaled.objective == scale * res.objective
 
     def test_unsound_scale_fails_the_witness(self, monkeypatch):
-        # 2 y = 1 needs y = 1/2; a scale of 1 leaves the scaled y fractional
-        # at the root, so branch and bound must branch on it
+        # 2 y = 1 needs y = 1/2, which a scale of 1 leaves off its grid
         monkeypatch.setattr("tdmilp.solver.choose_scale", lambda m: 1)
         inst = MilpInstance(a_int=Matrix([[]], cols=0), a_frac=Matrix([[2]]),
                             b=(1,), c=(1,), lower=(0,), upper=(1,))
@@ -437,11 +470,13 @@ class TestScaleWitness:
         assert (res.status, res.x, res.objective) == ("optimal", (0, Fraction(1, 10001)),
                                                       Fraction(1, 10001))
 
-    @pytest.mark.parametrize("z, branched, continuous", [(1, 0, 0), (None, 1, 0), (0, 1, 1)])
-    def test_integer_first_order(self, monkeypatch, z, branched, continuous):
+    @pytest.mark.parametrize("z, branched, accepted", [(1, 0, 0), (None, 1, 0), (0, 1, 1)])
+    def test_integer_first_order(self, monkeypatch, z, branched, accepted):
         # the root LP is x = (1/4, 1/2): column 1 is the more fractional, but
-        # with z=1 column 0 is integer and goes first; z=None is a pure ILP,
-        # every column integer
+        # with z=1 column 0 is the one integer column and is branched on;
+        # z=None is a pure ILP, every column integer, so column 1 is; with
+        # z=0 no column is integer, so the root is accepted with column 1,
+        # the more fractional, left as it is
         bounds = []
 
         def recording(a, b, lower, upper, c, **kwargs):
@@ -457,11 +492,38 @@ class TestScaleWitness:
             inst = MilpInstance(a_int=a.submatrix(range(2), range(z)),
                                 a_frac=a.submatrix(range(2), range(z, 2)), **data)
         res = ilp_solve(inst)
+        if accepted:
+            assert _most_fractional(res.x, range(2)) == branched
+            assert (res.status, res.x, res.stats.nodes) == (
+                "optimal", (Fraction(1, 4), Fraction(1, 2)), 1)
+            assert bounds == [((0, 0), (1, 1))]
+            return
         assert res.status == "infeasible"
-        assert res.stats.continuous_branches == continuous
         other = 1 - branched
         assert [(lo[other], up[other]) for lo, up in bounds] == [(0, 1)] * 3
         assert [(lo[branched], up[branched]) for lo, up in bounds] == [(0, 1), (0, 0), (1, 1)]
+
+
+class TestNodeLps:
+    def test_every_node_optimum_checks_out(self, monkeypatch):
+        # every optimal node LP of each solve, checked against the original
+        # rows by its basis in Fractions as it returns, apart from the
+        # simplex's own check and before recover sees the mixed optimum
+        checked = []
+
+        def checking(a, b, lower, upper, c, **kwargs):
+            res = lp_solve_exact(a, b, lower, upper, c, **kwargs)
+            if res.status == "optimal":
+                check_lp_optimum(a, b, lower, upper, c, res)
+                checked.append(res)
+            return res
+
+        monkeypatch.setattr(solver, "lp_solve_exact", checking)
+        rng = random.Random(19)
+        sweep = (feasible_mixed_instance(rng) for _ in range(250))
+        for inst in (*acceptance_corpus(100), *sweep):
+            milp_solve(inst)
+        assert len(checked) > 400  # 65 optima from the corpus, 345 from the sweep
 
 
 class TestChooseSide:
