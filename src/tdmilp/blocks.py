@@ -9,6 +9,7 @@ Border-only rows attach to the first block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .linalg import Matrix
@@ -24,6 +25,15 @@ class Block:
     decomposition: TdDecomposition
     row_ids: tuple[int, ...]
     col_ids: tuple[int, ...]
+
+    @cached_property
+    def structure(self) -> Optional[BlockStructure]:
+        """``primal_decompose(diagonal, decomposition)``, built at most once;
+        None when the block has no columns or its tree is a path."""
+        f = self.decomposition
+        if self.diagonal.cols == 0 or len(top_path(f)) == f.vertex_count:
+            return None
+        return primal_decompose(self.diagonal, f)
 
 
 @dataclass(frozen=True)

@@ -9,18 +9,18 @@ peel keeps ``B1^-1`` and records ``t = B1^-1*X``, ``u = U`` and the scaling
 beta of its Schur complement, and the chain of peels ends at the last block,
 which is inverted with the border by the same recursion.  Each node of the
 trace writes the inverses of its parts straight into the result at their
-original rows and columns.  The certificate runs the same recursion on
-bounds alone and yields an integer that dominates the largest inverse
-denominator over all invertible column submatrices.
+original rows and columns.  The certificate recurses on bounds alone over
+``Block.structure`` and yields an integer that dominates the largest
+inverse denominator over all invertible column submatrices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .blocks import graft_path_above, primal_decompose, split_forest
+from .blocks import Block, graft_path_above, primal_decompose, split_forest
 from .linalg import Matrix, SingularMatrixError, forward_eliminate, mat_inverse
 from .structure import CapExceededError as _BaseCapError
 from .structure import TdDecomposition, check_fit, restrict_decomposition, td_stats
@@ -401,47 +401,27 @@ class FractionalityCertificate:
     trace: tuple[CertNode, ...]
 
 
-@dataclass
-class _Skeleton:
-    k1: int
-    max_block_rows: int
-    children: list["_Skeleton"] = field(default_factory=list)
-
-    @property
-    def is_base(self) -> bool:
-        return not self.children
-
-
-def _build_skeleton(a: Matrix, f: TdDecomposition) -> _Skeleton:
-    stats = td_stats(f)
-    if stats.topological_height <= 1:
-        return _Skeleton(k1=stats.height, max_block_rows=max(a.rows, 1))
-    bs = primal_decompose(a, f)
-    kids = [_build_skeleton(b.diagonal, b.decomposition) for b in bs.blocks]
-    m_max = max((b.diagonal.rows for b in bs.blocks), default=1)
-    return _Skeleton(k1=bs.k1, max_block_rows=max(m_max, 1), children=kids)
-
-
 def _hadamard(k1: int, alpha: Bound) -> Bound:
     return _power(_mul(_of(k1), alpha), k1)
 
 
-def _cert(skel: _Skeleton, alpha: Bound, extra_k1: int, nodes: list[CertNode]) -> Bound:
-    k1 = skel.k1 + extra_k1
-    if skel.is_base:
+def _cert(block: Block, alpha: Bound, extra_k1: int, nodes: list[CertNode]) -> Bound:
+    bs = block.structure
+    if bs is None:
+        k1 = block.diagonal.cols + extra_k1  # a path's height is its vertex count
         h = _hadamard(k1, alpha)
         nodes.append(CertNode(k1=k1, base=True, hadamard=h.describe(),
                               q1=None, q2=None, betas=()))
         return h
 
+    k1 = bs.k1 + extra_k1
     child_nodes: list[CertNode] = []
-    q2 = _maximum([_cert(c, alpha, 0, child_nodes) for c in skel.children])
+    q2 = _maximum([_cert(b, alpha, 0, child_nodes) for b in bs.blocks])
 
     # peel loop: any block could be eliminated at any stage, so take the
     # worst hatted-strip bound each round while entry magnitudes grow
-    d = len(skel.children)
-    r_max = min(d, k1)
-    m_max = skel.max_block_rows
+    r_max = min(len(bs.blocks), k1)
+    m_max = max(max(b.diagonal.rows for b in bs.blocks), 1)
     hs: list[Bound] = []
     betas: list[Bound] = []
     a_cur = alpha
@@ -449,8 +429,10 @@ def _cert(skel: _Skeleton, alpha: Bound, extra_k1: int, nodes: list[CertNode]) -
     # one distinct denominator per entry of the peeled block's inverse
     beta_exp = max(k1, m_max) ** 2
     for _ in range(r_max):
+        # hat nodes are thrown away, but rendering their bounds can raise the
+        # int-to-str ValueError that some corpus solves end in (ROADMAP item 1)
         hat_nodes: list[CertNode] = []
-        h = _maximum([_cert(c, a_cur, k1, hat_nodes) for c in skel.children])
+        h = _maximum([_cert(b, a_cur, k1, hat_nodes) for b in bs.blocks])
         hs.append(h)
         beta = _power(h, beta_exp)
         betas.append(beta)
@@ -491,8 +473,8 @@ def frac_bound(a: Matrix, f: TdDecomposition, side: str = "primal") -> Fractiona
 
     nodes: list[CertNode] = []
     bounds = []
-    for _, _, sub, f_sub in split_forest(a, f):
-        bounds.append(_cert(_build_skeleton(sub, f_sub), alpha, 0, nodes))
+    for rows, cols, sub, f_sub in split_forest(a, f):
+        bounds.append(_cert(Block(sub, f_sub, tuple(rows), tuple(cols)), alpha, 0, nodes))
     result = _maximum(bounds) if bounds else _of(1)
 
     trace = tuple(nodes)

@@ -169,8 +169,6 @@ def milp_oracle(inst: MilpInstance) -> SolveResult:
     best solve wins.  Refuses integer boxes with volume beyond ORACLE_BOX_CAP.
     """
     z = inst.z
-    if z == 0:
-        return lp_solve_exact(inst.matrix, inst.b, inst.lower, inst.upper, inst.c)
     if math.prod(inst.upper[j] - inst.lower[j] + 1 for j in range(z)) > ORACLE_BOX_CAP:
         raise CapExceededError(f"integer box volume exceeds {ORACLE_BOX_CAP}")
     best_obj: Optional[int | Fraction] = None

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tdmilp.blocks import hatted_blocks, primal_decompose, split_forest, structure_trace
+from tdmilp.blocks import Block, hatted_blocks, primal_decompose, split_forest, structure_trace
 from tdmilp.families import FamilySpec, generate
 from tdmilp.linalg import Matrix
 from tdmilp.structure import (StructureError, TdDecomposition,
@@ -93,6 +95,41 @@ class TestPrimalDecompose:
         a = two_brick_border()
         f = decomposition_for_matrix(a, "primal", "exact")
         assert primal_decompose(a, f) == primal_decompose(a, f)
+
+
+@st.composite
+def tree_blocks(draw):
+    """A block over one tree of 0 to 7 vertices, each parent before its
+    children, with up to 5 rows, each nonzero only on a chain from some
+    vertex up to the root, entries in -2..2."""
+    n = draw(st.integers(0, 7))
+    parent = [None] + [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        row = [0] * n
+        v = draw(st.integers(0, n - 1)) if n else None
+        while v is not None:
+            row[v] = draw(st.integers(-2, 2))
+            v = parent[v]
+        rows.append(row)
+    a = Matrix(rows, cols=n)
+    return Block(a, TdDecomposition(parent[:n]), tuple(range(a.rows)), tuple(range(n)))
+
+
+@given(blk=tree_blocks())
+def test_structure_splits_every_tree_but_a_path(blk):
+    def check(blk):
+        f = blk.decomposition
+        bs = blk.structure
+        if all(len(f.children(v)) <= 1 for v in range(f.vertex_count)):
+            assert bs is None  # no columns, or a path
+            return
+        assert bs == primal_decompose(blk.diagonal, f)
+        assert blk.structure is bs
+        for child in bs.blocks:
+            check(child)
+
+    check(blk)
 
 
 class TestHattedBlocks:

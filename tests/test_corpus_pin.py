@@ -2,9 +2,11 @@
 
 ``perfbench/workloads.py`` is loaded by path and only read, so the problems
 are the benchmark's own.  ``corpus_pin.txt`` holds one line per problem that
-solves: workload, index and status, and for an optimum the objective, x in
-file order, the branch-and-bound nodes and the simplex pivots.  A change
-that moves any of them must re-record its lines and say why.
+solves: workload, index and status, for an optimum the objective, x in file
+order, the branch-and-bound nodes and the simplex pivots, and for every
+solve the scale stage as ``PipelineReport.machine_lines`` writes it:
+``m_source``, ``m`` and ``scale``.  A change that moves any of them must
+re-record its lines and say why.
 """
 
 import importlib.util
@@ -52,11 +54,13 @@ def _outcome(text: str) -> str:
         res, report = milp_solve(parsed.instance)
     except ValueError as exc:
         return f"ValueError: {exc}"
+    scale_stage = " ".join(line for line in report.machine_lines()
+                           if line.split("=", 1)[0] in ("m_source", "m", "scale"))
     if res.status != "optimal":
-        return res.status
+        return f"{res.status} {scale_stage}"
     x = ",".join(map(str, parsed.solution_in_file_order(res.x)))
     return (f"optimal objective={res.objective} x={x} "
-            f"ilp_nodes={report.ilp_nodes} pivots={res.stats.pivots}")
+            f"ilp_nodes={report.ilp_nodes} pivots={res.stats.pivots} {scale_stage}")
 
 
 @pytest.mark.parametrize("name", sorted(PIN))

@@ -281,6 +281,18 @@ class TestFracBound:
         primal_of_transpose = frac_bound(a.transpose(), f, "primal")
         assert dual.bound == primal_of_transpose.bound
 
+    def test_capped_split_trace(self):
+        # one border column over two one-column blocks: the split level is a
+        # factorial of factorials, so it caps; the trace still renders it
+        a = Matrix([[1, 2, 0], [1, 0, 3]])
+        f = decomposition_for_matrix(a, "primal", "exact")
+        with pytest.raises(CapExceededError) as err:
+            frac_bound(a, f)
+        assert err.value.trace.render() == "\n".join([
+            "level k1=1 q1=~2^2.19692e+48 q2=3 betas=[36]",
+            "  level k1=1 base hadamard=3",
+            "  level k1=1 base hadamard=3"])
+
     def test_trace_records_levels(self):
         # two-level structures overflow the factorial composition by design;
         # the cap error still carries the recursion trace and a log estimate
