@@ -2,9 +2,8 @@
 # Interaction graphs of a matrix, treedepth decompositions, and the
 # border/diagonal block structure they induce.
 
-from tdmilp import (Matrix, dual_graph, hatted_blocks, primal_decompose,
-                    primal_graph, structure_trace, td_compute, td_stats,
-                    validate_td)
+from tdmilp import (Matrix, dual_graph, primal_decompose, primal_graph,
+                    structure_trace, td_compute, td_stats, validate_td)
 
 # columns 1 and 2 only meet through the shared border column 0
 a = Matrix([
@@ -30,20 +29,6 @@ bs = primal_decompose(a, f)
 print("\nborder columns:", bs.border_cols)
 for i, blk in enumerate(bs.blocks):
     print(f"block {i}: rows {blk.row_ids}, columns {blk.col_ids}")
-
-# the block display: the matrix with rows and columns in block order, the
-# border columns first
-print("block display:")
-print(a.submatrix(bs.row_order, bs.col_order).to_text())
-
-# each border-extended ("hatted") strip puts the border columns in front of
-# one block's, decomposed by the border path grafted above the block's tree;
-# the recursions graft with graft_path_above directly, so the strips are for
-# display and the tests
-for strip, hat in hatted_blocks(a, bs):
-    print("\nstrip:")
-    print(strip.to_text())
-    print("hatted stats:", td_stats(hat))
 
 # the whole recursive structure in one picture
 print("\ntrace:")

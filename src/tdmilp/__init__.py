@@ -1,6 +1,6 @@
 """Exact-arithmetic MILP solving for small-treedepth constraint matrices."""
 
-from .blocks import Block, BlockStructure, hatted_blocks, primal_decompose, structure_trace
+from .blocks import Block, BlockStructure, primal_decompose, structure_trace
 from .fracbound import (FractionalityCertificate, StructuredInverseTrace, frac_bound,
                         structured_inverse)
 from .families import (FamilySpec, MipDescriptor, VerificationReport, generate,
@@ -28,7 +28,7 @@ __all__ = [
     "StructuredInverseTrace", "TdDecomposition", "TdStats",
     "VerificationReport", "choose_scale", "connected_components",
     "decomposition_for_matrix", "dual_graph", "frac_bound",
-    "fractionality", "generate", "hatted_blocks",
+    "fractionality", "generate",
     "ilp_solve", "integralize", "lp_solve_exact", "mat_det", "mat_inverse",
     "mat_rank", "milp_oracle", "milp_solve", "parse_instance", "parse_matrix",
     "primal_decompose", "primal_graph", "pure_ilp", "rational",

@@ -44,14 +44,6 @@ class BlockStructure:
     border_cols: tuple[int, ...]
     blocks: tuple[Block, ...]
 
-    @property
-    def row_order(self) -> tuple[int, ...]:
-        return tuple(i for blk in self.blocks for i in blk.row_ids)
-
-    @property
-    def col_order(self) -> tuple[int, ...]:
-        return self.border_cols + tuple(j for blk in self.blocks for j in blk.col_ids)
-
 
 def top_path(f: TdDecomposition) -> list[int]:
     """Root chain down to and including the first non-degenerate vertex."""
@@ -65,13 +57,13 @@ def top_path(f: TdDecomposition) -> list[int]:
     return path
 
 
-def split_forest(a: Matrix, f: TdDecomposition
-                 ) -> list[tuple[list[int], list[int], Matrix, TdDecomposition]]:
-    """One part per tree of f over the columns of a, roots in ascending order.
+def split_forest(a: Matrix, f: TdDecomposition) -> list[Block]:
+    """One Block per tree of f over the columns of a, roots in ascending order.
 
-    A part is the rows with a nonzero in the tree's columns, those columns,
-    the submatrix on them and the tree relabelled onto them.  Zero rows
-    belong to no part; a row touching two trees raises StructureError.
+    A part's rows are those with a nonzero in the tree's columns, its diagonal
+    is a on them and its decomposition is the tree relabelled onto them.
+    Zero rows belong to no part; a row touching two trees raises
+    StructureError.
     """
     cols_of = [f.subtree(r) for r in f.roots]
     masks = [sum(1 << j for j in cols) for cols in cols_of]
@@ -82,8 +74,8 @@ def split_forest(a: Matrix, f: TdDecomposition
             raise StructureError("row spans decomposition trees")
         if trees:
             rows_of[trees[0]].append(i)
-    return [(rows, cols, a.submatrix(rows, cols), restrict_decomposition(f, cols))
-            for rows, cols in zip(rows_of, cols_of)]
+    return [Block(a.submatrix(rows, cols), restrict_decomposition(f, cols),
+                  tuple(rows), tuple(cols)) for rows, cols in zip(rows_of, cols_of)]
 
 
 def primal_decompose(a: Matrix, f: TdDecomposition) -> BlockStructure:
@@ -121,7 +113,7 @@ def graft_path_above(f: TdDecomposition, path_len: int) -> TdDecomposition:
     """New decomposition: a fresh path of path_len vertices above f's root(s).
 
     The fresh path occupies indices 0..path_len-1, f's vertices shift up by
-    path_len.  Used for the border+block strips, whose columns are ordered
+    path_len.  Decomposes a border+block strip, whose columns are ordered
     border first.
     """
     parent: list[Optional[int]] = []
@@ -134,14 +126,6 @@ def graft_path_above(f: TdDecomposition, path_len: int) -> TdDecomposition:
     return TdDecomposition(parent)
 
 
-def hatted_blocks(a: Matrix, b: BlockStructure) -> list[tuple[Matrix, TdDecomposition]]:
-    """Border-extended strips of a, b = primal_decompose(a, f): each block's
-    rows on the border columns, then the block's own, decomposed by grafting
-    a path of k1 fresh vertices above the block tree."""
-    return [(a.submatrix(blk.row_ids, b.border_cols + blk.col_ids),
-             graft_path_above(blk.decomposition, b.k1)) for blk in b.blocks]
-
-
 def structure_trace(a: Matrix, f: TdDecomposition) -> str:
     """Indented tree rendering of the recursive block structure."""
     lines: list[str] = []
@@ -151,9 +135,9 @@ def structure_trace(a: Matrix, f: TdDecomposition) -> str:
 
 def _trace_forest(a: Matrix, f: TdDecomposition, indent: str, lines: list[str]) -> None:
     if len(f.roots) > 1:
-        for t, (_, cols, sub, f_sub) in enumerate(split_forest(a, f)):
-            lines.append(f"{indent}component {t}: cols={cols}")
-            _trace_tree(sub, f_sub, indent + "  ", lines)
+        for t, part in enumerate(split_forest(a, f)):
+            lines.append(f"{indent}component {t}: cols={list(part.col_ids)}")
+            _trace_tree(part.diagonal, part.decomposition, indent + "  ", lines)
         return
     _trace_tree(a, f, indent, lines)
 

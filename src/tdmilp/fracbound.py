@@ -1,17 +1,19 @@
 """Structured inversion and fractionality certificates.
 
 Both operations follow the same recursion over the block structure of a
-matrix with a bounded-treedepth column interaction graph.  The structured
-inverse splits an invertible matrix into the strict blocks with the border
-(Q1) and the square blocks, which meet Q1 only in the border columns; a
-forest is a split with an empty Q1.  Q1 is peeled apart block by block: a
-peel keeps ``B1^-1`` and records ``t = B1^-1*X``, ``u = U`` and the scaling
-beta of its Schur complement, and the chain of peels ends at the last block,
-which is inverted with the border by the same recursion.  Each node of the
-trace writes the inverses of its parts straight into the result at their
-original rows and columns.  The certificate recurses on bounds alone over
-``Block.structure`` and yields an integer that dominates the largest
-inverse denominator over all invertible column submatrices.
+matrix with a bounded-treedepth column interaction graph: each part is a
+``blocks.Block``, ``split_forest`` cuts a forest into one per tree, and a
+block whose ``Block.structure`` is None (no columns, or a path tree) is the
+base case.  The structured inverse splits an invertible matrix into the
+strict blocks with the border (Q1) and the square blocks, which meet Q1
+only in the border columns; a forest is a split with an empty Q1.  Q1 is
+peeled apart block by block: a peel keeps ``B1^-1`` and records
+``t = B1^-1*X``, ``u = U`` and the scaling beta of its Schur complement, and
+the chain of peels ends at the last block, which is inverted with the border
+by the same recursion.  Each node of the trace writes the inverses of its
+parts straight into the result at their original rows and columns.  The
+certificate recurses on bounds alone and yields an integer that dominates
+the largest inverse denominator over all invertible column submatrices.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .blocks import Block, graft_path_above, primal_decompose, split_forest
+from .blocks import Block, graft_path_above, split_forest
 from .linalg import Matrix, SingularMatrixError, forward_eliminate, mat_inverse
 from .structure import CapExceededError as _BaseCapError
-from .structure import TdDecomposition, check_fit, restrict_decomposition, td_stats
+from .structure import TdDecomposition, check_fit, restrict_decomposition
 
 _LOG2_E = math.log2(math.e)
 
@@ -62,7 +64,7 @@ def _assemble(n: int, pieces: Sequence[tuple[Sequence[int], Sequence[int], Matri
 
 @dataclass(frozen=True)
 class BaseTrace:
-    """Direct inversion of a matrix whose tree is a single path."""
+    """Direct inversion of a matrix with no columns or whose tree is a path."""
 
     matrix: Matrix
 
@@ -181,26 +183,31 @@ def _greedy_invertible_columns(strip: Matrix) -> list[int]:
     return chosen
 
 
-def _invert_q1(q: Matrix, w: int, blocks: list[tuple[int, TdDecomposition]]) -> InverseTrace:
+def _whole(a: Matrix, f: TdDecomposition) -> Block:
+    """a as one Block over all of its rows and columns."""
+    return Block(a, f, tuple(range(a.rows)), tuple(range(a.cols)))
+
+
+def _invert_q1(q: Matrix, w: int, strict: Sequence[Block]) -> InverseTrace:
     """Peel the strict blocks of q off one at a time, ending at the last.
 
-    q's columns are a border of width w, then each block's columns; its rows
-    are each block's rows, in the same block order.  A block is its row count
-    and its decomposition.  Every block's rows are zero outside the border and
-    its own columns, an invariant kept across peels because only leftover
-    border columns are ever modified.  The last block with the border is all
-    of q, which the recursion inverts on the border-extended decomposition.
+    q's columns are a border of width w, then each strict block's columns;
+    its rows are each block's rows, in the same block order.  Every block's
+    rows are zero outside the border and its own columns, an invariant kept
+    across peels because only leftover border columns are ever modified.
+    The last block with the border is all of q, which the recursion inverts
+    on the border path grafted above the block's tree.
     """
-    m1, f1 = blocks[0]
+    m1, f1 = strict[0].diagonal.rows, strict[0].decomposition
     hat = graft_path_above(f1, w)
-    if len(blocks) == 1:
-        return _structured(q, hat)
+    if len(strict) == 1:
+        return _structured(_whole(q, hat))
 
     n = w + f1.vertex_count
     strip = q.submatrix(range(m1), range(n))
     chosen = _greedy_invertible_columns(strip)
-    b1_trace = _structured(strip.submatrix(range(m1), chosen),
-                           restrict_decomposition(hat, chosen))
+    b1_trace = _structured(_whole(strip.submatrix(range(m1), chosen),
+                                  restrict_decomposition(hat, chosen)))
     b1_inv = b1_trace.replay()
 
     taken = set(chosen)
@@ -221,28 +228,29 @@ def _invert_q1(q: Matrix, w: int, blocks: list[tuple[int, TdDecomposition]]) -> 
     q1p = Matrix([[beta * x for x in row] for row in schur], cols=s - m1)
 
     # the leftover candidate columns are the border of the peeled matrix
-    rest_trace = _invert_q1(q1p, n1, blocks[1:])
+    rest_trace = _invert_q1(q1p, n1, strict[1:])
     return PeelStep(tuple(col_perm), b1_trace, b1_inv, t, u, beta, rest_trace)
 
 
-def _structured(a: Matrix, f: TdDecomposition) -> InverseTrace:
+def _structured(block: Block) -> InverseTrace:
+    a, f = block.diagonal, block.decomposition
     if len(f.roots) > 1:
         # forest: columns of different trees never share a row, so the matrix
         # is block diagonal up to permutation, a split with an empty Q1
         split = split_forest(a, f)
-        if sum(len(rows) for rows, _, _, _ in split) != a.rows:
+        if sum(len(b.row_ids) for b in split) != a.rows:
             raise SingularMatrixError("zero row")
         parts = []
-        for rows, cols, sub, f_sub in split:
-            if len(cols) != len(rows):
+        for b in split:
+            if len(b.col_ids) != len(b.row_ids):
                 raise SingularMatrixError("non-square component block")
-            parts.append((tuple(rows), tuple(cols), _structured(sub, f_sub)))
+            parts.append((b.row_ids, b.col_ids, _structured(b)))
         return SplitTrace((), (), None, tuple(parts), a.submatrix(range(a.rows), ()))
 
-    if td_stats(f).topological_height <= 1:
+    bs = block.structure
+    if bs is None:
         return BaseTrace(a)
 
-    bs = primal_decompose(a, f)
     strict = [b for b in bs.blocks if b.diagonal.rows > b.diagonal.cols]
     square = [b for b in bs.blocks if b.diagonal.rows == b.diagonal.cols]
     if len(strict) + len(square) != len(bs.blocks):
@@ -252,10 +260,8 @@ def _structured(a: Matrix, f: TdDecomposition) -> InverseTrace:
     q1_cols = list(bs.border_cols) + [j for b in strict for j in b.col_ids]
     q2_rows = [i for b in square for i in b.row_ids]
 
-    q1_trace = _invert_q1(a.submatrix(q1_rows, q1_cols), bs.k1,
-                          [(b.diagonal.rows, b.decomposition) for b in strict])
-    parts = tuple((b.row_ids, b.col_ids, _structured(b.diagonal, b.decomposition))
-                  for b in square)
+    q1_trace = _invert_q1(a.submatrix(q1_rows, q1_cols), bs.k1, strict)
+    parts = tuple((b.row_ids, b.col_ids, _structured(b)) for b in square)
     return SplitTrace(tuple(q1_rows), tuple(q1_cols), q1_trace, parts,
                       a.submatrix(q2_rows, bs.border_cols))
 
@@ -271,7 +277,7 @@ def structured_inverse(a: Matrix, f: TdDecomposition) -> tuple[Matrix, Structure
     if a.rows != a.cols:
         raise SingularMatrixError("matrix is not square")
     check_fit(a, f)
-    trace = StructuredInverseTrace(_structured(a, f))
+    trace = StructuredInverseTrace(_structured(_whole(a, f)))
     return trace.replay(), trace
 
 
@@ -472,9 +478,7 @@ def frac_bound(a: Matrix, f: TdDecomposition, side: str = "primal") -> Fractiona
     alpha = _of(int(norm))
 
     nodes: list[CertNode] = []
-    bounds = []
-    for rows, cols, sub, f_sub in split_forest(a, f):
-        bounds.append(_cert(Block(sub, f_sub, tuple(rows), tuple(cols)), alpha, 0, nodes))
+    bounds = [_cert(part, alpha, 0, nodes) for part in split_forest(a, f)]
     result = _maximum(bounds) if bounds else _of(1)
 
     trace = tuple(nodes)

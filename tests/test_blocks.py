@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tdmilp.blocks import Block, hatted_blocks, primal_decompose, split_forest, structure_trace
+from tdmilp.blocks import (Block, graft_path_above, primal_decompose, split_forest,
+                           structure_trace)
 from tdmilp.families import FamilySpec, generate
 from tdmilp.linalg import Matrix
 from tdmilp.structure import (StructureError, TdDecomposition,
@@ -16,7 +17,8 @@ def tree_parts(n, k, seeds):
     for seed in seeds:
         a = generate(FamilySpec("random_td", n=n, k=k, t=3, seed=seed, magnitude=2))
         f = decomposition_for_matrix(a, "primal", "exact")
-        for _, _, sub, f_sub in split_forest(a, f):
+        for part in split_forest(a, f):
+            sub, f_sub = part.diagonal, part.decomposition
             yield sub, f_sub, primal_decompose(sub, f_sub)
 
 
@@ -57,8 +59,9 @@ class TestPrimalDecompose:
     def test_round_trip_permutation(self):
         multi = 0
         for sub, _, bs in tree_parts(6, 5, range(15)):
-            assert sorted(bs.row_order) == list(range(sub.rows))
-            assert sorted(bs.col_order) == list(range(sub.cols))
+            assert sorted(i for blk in bs.blocks for i in blk.row_ids) == list(range(sub.rows))
+            assert sorted(bs.border_cols + tuple(j for blk in bs.blocks for j in blk.col_ids)) \
+                == list(range(sub.cols))
             for blk in bs.blocks:
                 assert blk.diagonal == sub.submatrix(blk.row_ids, blk.col_ids)
                 own = set(bs.border_cols) | set(blk.col_ids)
@@ -98,12 +101,16 @@ class TestPrimalDecompose:
 
 
 @st.composite
-def tree_blocks(draw):
-    """A block over one tree of 0 to 7 vertices, each parent before its
-    children, with up to 5 rows, each nonzero only on a chain from some
-    vertex up to the root, entries in -2..2."""
+def tree_blocks(draw, forest=False):
+    """A block over one tree of 0 to 7 vertices, or with forest set over a
+    forest of any number of trees, each parent before its children, with up
+    to 5 rows, each nonzero only on a chain from some vertex up to its root,
+    entries in -2..2 (so a row may be zero)."""
     n = draw(st.integers(0, 7))
-    parent = [None] + [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    parent = [None]
+    for v in range(1, n):
+        p = draw(st.integers(-1 if forest else 0, v - 1))
+        parent.append(p if p >= 0 else None)
     rows = []
     for _ in range(draw(st.integers(0, 5))):
         row = [0] * n
@@ -132,12 +139,39 @@ def test_structure_splits_every_tree_but_a_path(blk):
     check(blk)
 
 
+@given(blk=tree_blocks(forest=True))
+def test_split_forest_returns_a_block_per_tree(blk):
+    a, f = blk.diagonal, blk.decomposition
+    parts = split_forest(a, f)
+    assert len(parts) == len(f.roots)
+    assert sorted(j for part in parts for j in part.col_ids) == list(range(a.cols))
+    rows = []
+    for part in parts:
+        assert isinstance(part, Block)
+        assert part.diagonal == a.submatrix(part.row_ids, part.col_ids)
+        tree = part.decomposition
+        assert len(tree.roots) == 1
+        path = all(len(tree.children(v)) <= 1 for v in range(tree.vertex_count))
+        assert (part.structure is None) == path
+        rows += part.row_ids
+    # every nonzero row lies in exactly one block, and a zero row in none
+    assert sorted(rows) == [i for i in range(a.rows) if any(a.row(i))]
+
+
+def hatted_strips(a, bs):
+    """Each block's rows on the border columns, then its own, with the
+    border path grafted above the block's tree: the graft that the
+    structured inverse performs on a strict block."""
+    return [(a.submatrix(blk.row_ids, bs.border_cols + blk.col_ids),
+             graft_path_above(blk.decomposition, bs.k1)) for blk in bs.blocks]
+
+
 class TestHattedBlocks:
     def test_path_only_block(self):
         a = Matrix([[1, 2]])
         f = TdDecomposition([None, 0])
         bs = primal_decompose(a, f)
-        strips = hatted_blocks(a, bs)
+        strips = hatted_strips(a, bs)
         assert len(strips) == 1
         strip, hat = strips[0]
         assert strip == a.submatrix([0], bs.border_cols)
@@ -147,7 +181,7 @@ class TestHattedBlocks:
         a = two_brick_border()
         f = decomposition_for_matrix(a, "primal", "exact")
         bs = primal_decompose(a, f)
-        for (strip, hat), blk in zip(hatted_blocks(a, bs), bs.blocks):
+        for (strip, hat), blk in zip(hatted_strips(a, bs), bs.blocks):
             assert strip.cols == bs.k1 + blk.diagonal.cols
             assert strip == a.submatrix(blk.row_ids, bs.border_cols).hstack(blk.diagonal)
             assert validate_td(primal_graph(strip), hat)
@@ -156,7 +190,7 @@ class TestHattedBlocks:
         multi = 0
         for sub, f_sub, bs in tree_parts(7, 6, range(10)):
             st = td_stats(f_sub)
-            for strip, hat in hatted_blocks(sub, bs):
+            for strip, hat in hatted_strips(sub, bs):
                 hat_stats = td_stats(hat)
                 assert validate_td(primal_graph(strip), hat)
                 assert hat_stats.topological_height < max(st.topological_height, 2)
@@ -178,9 +212,9 @@ class TestSplitForest:
         a = Matrix([[0, 1, 0, 2], [0, 0, 0, 0], [3, 0, 4, 0], [5, 0, 0, 0]])
         f = TdDecomposition([None, None, 0, 1])
         parts = split_forest(a, f)
-        assert [(rows, cols) for rows, cols, _, _ in parts] == [([2, 3], [0, 2]), ([0], [1, 3])]
-        assert parts[0][2] == Matrix([[3, 4], [5, 0]])
-        assert [f_sub.parent for _, _, _, f_sub in parts] == [(None, 0), (None, 0)]
+        assert [(p.row_ids, p.col_ids) for p in parts] == [((2, 3), (0, 2)), ((0,), (1, 3))]
+        assert parts[0].diagonal == Matrix([[3, 4], [5, 0]])
+        assert [p.decomposition.parent for p in parts] == [(None, 0), (None, 0)]
 
     def test_row_spanning_two_trees_rejected(self):
         with pytest.raises(StructureError, match="row spans decomposition trees"):

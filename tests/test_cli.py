@@ -427,19 +427,27 @@ class TestCommands:
         assert code == 2
 
     @pytest.mark.parametrize("matrix_text, message", [
-        ("1 1\n1 1\n", "singular"),
-        ("1 2 3\n4 5 6\n", "not square"),
+        ("1 1\n1 1\n", "matrix is singular"),
+        ("1 2 3\n4 5 6\n", "matrix is not square"),
         ("1 2\n3\n", "line 2: ragged rows: expected 2 columns, got 1"),
         ("", "no matrix rows"),
         ("# comment only\n\n", "no matrix rows"),
         ("1 0\n\n0 x\n", "line 3: not an integer or p/q rational: 'x'"),
-    ], ids=["singular", "non_square", "ragged", "empty", "comment_only", "bad_token_line"])
+        # the structural exits of the structured inverse: a forest with a
+        # zero row or a non-square tree, a split block wider than tall, and
+        # a peeled strip of deficient row rank
+        ("1 0\n0 0\n", "zero row"),
+        ("2 0\n-1 0\n", "non-square component block"),
+        ("0 2 0 0\n1 0 2 2\n2 -1 0 0\n1 0 0 0\n", "block with more columns than rows"),
+        ("2 0 -1 0\n0 0 0 0\n2 -1 0 1\n2 0 1 2\n", "block strip does not have full row rank"),
+    ], ids=["singular", "non_square", "ragged", "empty", "comment_only", "bad_token_line",
+            "zero_row", "non_square_tree", "wide_block", "strip_rank"])
     def test_invert_bad_matrix_is_usage_error(self, matrix_text, message):
         err = io.StringIO()
         code, out = run_cli(["invert"], stdin=matrix_text, err=err)
         assert code == 2
         assert out == ""
-        assert err.getvalue().startswith("error: ") and message in err.getvalue()
+        assert err.getvalue() == f"error: {message}\n"
 
     def test_invert_zero_denominator_is_usage_error(self):
         err = io.StringIO()

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdmilp.blocks import primal_decompose
 from tdmilp.families import FamilySpec, generate
-from tdmilp import fracbound
+from tdmilp import blocks, fracbound
 from tdmilp.fracbound import (BaseTrace, CapExceededError, PeelStep, SplitTrace,
                               frac_bound, structured_inverse)
 from tdmilp.linalg import (Matrix, SingularMatrixError, fractionality, mat_det,
@@ -136,13 +135,15 @@ class TestStructuredInverse:
         # a square block's rows are zero outside the border, so a split keeps
         # only the border columns of them; a forest has no border
         borders = []
+        primal_decompose = blocks.primal_decompose
 
         def recorded(a, f):
             bs = primal_decompose(a, f)
             borders.append(bs.k1)
             return bs
 
-        monkeypatch.setattr(fracbound, "primal_decompose", recorded)
+        # Block.structure calls the blocks module's binding
+        monkeypatch.setattr(blocks, "primal_decompose", recorded)
         for seed in range(40):
             for a in (invertible_random_td(seed, 3 + seed % 6), invertible_sparse(seed)):
                 for mode in ("exact", "heuristic"):
