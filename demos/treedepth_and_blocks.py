@@ -34,8 +34,11 @@ for i, blk in enumerate(bs.blocks):
 print("\ntrace:")
 print(structure_trace(a, f))
 
-# heuristic mode for graphs too big for the exact search; a 30-vertex path
-# has treedepth ceil(log2(31)) = 5 and the separator heuristic finds it
+# heuristic mode for graphs too big for the exact search.  Two columns of the
+# band share a row when they are at most 2 apart, so its primal graph is the
+# square of a 30-vertex path: no single vertex disconnects it, and the
+# heuristic, which splits only at one vertex, peels it as one path of height
+# 30.  Two adjacent vertices would split it (ROADMAP item 21).
 big = Matrix([[1 if abs(i - j) <= 1 else 0 for j in range(30)] for i in range(30)])
 gh = primal_graph(big)
 fh = td_compute(gh, "heuristic")

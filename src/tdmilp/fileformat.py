@@ -64,8 +64,11 @@ def _ints(tokens: list[str], line_no: int, what: str) -> list[int]:
 
 
 def _num(token: str, line_no: int) -> int | Fraction:
+    """``rational(token)``; a signed run of decimal digits goes to ``int``
+    directly (``str.isdecimal`` is true exactly on what ``\\d`` matches)."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
     try:
-        return rational(token)
+        return int(token) if digits.isdecimal() else rational(token)
     except ValueError as exc:
         raise ParseError(str(exc), line_no) from None
 

@@ -10,8 +10,10 @@ checks that its optimum lies on that grid.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,7 +29,7 @@ class FeasibilityError(Exception):
 
 
 def _int_vector(values: Sequence[int | Fraction], name: str) -> tuple[int, ...]:
-    out = tuple(map(rational, values))
+    out = tuple(v if type(v) is int else rational(v) for v in values)
     for v in out:
         if type(v) is not int:
             raise ValueError(f"{name} must be integral, got {v}")
@@ -79,7 +81,7 @@ class MilpInstance:
     def rows(self) -> int:
         return self.a_int.rows
 
-    @property
+    @cached_property
     def matrix(self) -> Matrix:
         return self.a_int.hstack(self.a_frac)
 
@@ -91,10 +93,26 @@ def pure_ilp(matrix: Matrix, b, c, lower, upper) -> MilpInstance:
 
 
 def choose_scale(m: int) -> int:
-    """lcm(1..m): divisible by the lcm of any denominator set bounded by m."""
+    """lcm(1..m): divisible by the lcm of any denominator set bounded by m.
+
+    The product, over the primes p <= m, of the largest power of p that is
+    at most m.  A sieve crosses off the multiples of each prime up to
+    sqrt(m); a prime above sqrt(m) has no higher power within m and enters
+    once.
+    """
     if m < 1:
         raise ValueError("scale parameter must be positive")
-    return math.lcm(*range(1, m + 1))
+    prime = bytearray(b"\x01") * (m + 1)
+    root = math.isqrt(m)
+    scale = 1
+    for p in range(2, root + 1):
+        if prime[p]:
+            prime[p * p::p] = bytes(len(range(p * p, m + 1, p)))
+            q = p * p
+            while q <= m // p:
+                q *= p
+            scale *= q
+    return scale * math.prod(itertools.compress(range(root + 1, m + 1), prime[root + 1:]))
 
 
 def integralize(inst: MilpInstance, scale: int) -> MilpInstance:

@@ -373,12 +373,18 @@ class _BoundedSimplex:
         for k, row in zip(self.basis, self.tableau):
             num[k] = row[n]
         d = den * self.scale
-        objective = rational(Fraction(sum(cj * v for cj, v in zip(self.costs, num) if cj != 0),
-                                      d * self.cden))
         x = tuple(v // d if v % d == 0 else Fraction(v, d) for v in num)
+        total = sum(cj * v for cj, v in zip(self.costs, num) if cj != 0)
+        d *= self.cden
+        objective = total // d if total % d == 0 else Fraction(total, d)
         return SolveResult(status="optimal", x=x,
                            objective=objective, basis=tuple(sorted(self.basis)),
                            stats=self.stats, final=self)
+
+
+def _exact(values: Iterable) -> list[int | Fraction]:
+    """The values as ``rational`` returns them, calling it only on non-ints."""
+    return [v if type(v) is int else rational(v) for v in values]
 
 
 def lp_solve_exact(a: Matrix, b: Sequence, lower: Sequence, upper: Sequence,
@@ -387,10 +393,11 @@ def lp_solve_exact(a: Matrix, b: Sequence, lower: Sequence, upper: Sequence,
 
     Bounds must be finite, so the optimum exists whenever the system is
     feasible.  Returns an optimal basic feasible solution or the infeasible
-    status.  b, the bounds and c go through ``rational``, so a float raises
-    TypeError.  ``start``, an optimal result of this function for the same
-    a, b and c, warm-starts the solve from its final tableau by a dual
-    simplex; a start that solved another problem raises ValueError.  Every
+    status.  b, the bounds and c go through ``rational`` unless they are
+    ints, so a float raises TypeError.  ``start``, an optimal result of this
+    function for the same a, b and c, warm-starts the solve from its final
+    tableau by a dual simplex; a start that solved another problem raises
+    ValueError.  Every
     pivot, cold or warm, prices from the carried reduced-cost row, and every
     optimum is checked against reduced costs recomputed from its basis: they
     must equal the carried row and price out, else SolverError is raised.  A
@@ -403,9 +410,8 @@ def lp_solve_exact(a: Matrix, b: Sequence, lower: Sequence, upper: Sequence,
         raise ValueError("bound/objective length mismatch")
     if len(b) != a.rows:
         raise ValueError(f"right-hand side has {len(b)} entries for {a.rows} rows")
-    b, c = tuple(map(rational, b)), tuple(map(rational, c))
-    lo = [rational(v) for v in lower]
-    up = [rational(v) for v in upper]
+    b, c = tuple(_exact(b)), tuple(_exact(c))
+    lo, up = _exact(lower), _exact(upper)
     if start is not None and (start.final is None or start.final.problem != (a, b, c)):
         raise ValueError("start is not an optimal solve of this (a, b, c)")
     if any(l > u for l, u in zip(lo, up)):

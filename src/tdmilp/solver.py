@@ -20,8 +20,7 @@ from typing import Optional, Sequence
 from .fracbound import CapExceededError as CertCapError
 from .fracbound import frac_bound
 from .integralize import MilpInstance, choose_scale, recover
-from .linalg import (Matrix, SingularMatrixError, forward_eliminate, mat_det, mat_inverse,
-                     rational)
+from .linalg import Matrix, SingularMatrixError, forward_eliminate, mat_inverse, rational
 from .simplex import SolveResult, SolveStats, SolverError, lp_solve_exact, reduce_rows
 from .structure import (CapExceededError, TdDecomposition, TdStats, _bits, _mask_components,
                         _matrix_adjacency, _supports, decomposition_for_matrix,
@@ -109,17 +108,19 @@ def ilp_solve(inst: MilpInstance) -> SolveResult:
     """Exact optimum with the inst.z integer columns integral, by best-bound
     branch and bound.
 
-    Relaxations are solved by the exact simplex and pruning compares
-    rationals exactly.  Each branch takes the most fractional integer
-    column; a node whose integer columns are integral is taken as it is.
-    Popping more than NODE_CAP nodes raises CapExceededError.  The root LP
-    is solved cold; each child LP is warm-started from its parent's optimal
-    tableau (``lp_solve_exact``'s ``start``), whose basis stays dual
-    feasible because a child only tightens one bound, so a dual simplex
-    with Bland's tie-break (lowest index leaves; least ratio enters, ties to
-    the lowest index) replaces both phases.  At a non-unique LP optimum it
-    may pick another vertex than a cold solve, which can change ``x`` and
-    the node count, never the status or the objective.
+    Relaxations are solved by the exact simplex, and nodes are popped
+    lowest LP bound first, ties to the earliest pushed.  Each branch takes
+    the most fractional integer column; the first node popped whose integer
+    columns are integral is optimal, and the nodes still queued then count
+    as popped and pruned.  More than NODE_CAP nodes, so counted, raise
+    CapExceededError.  The root LP is solved cold; each child LP is
+    warm-started from its parent's optimal tableau (``lp_solve_exact``'s
+    ``start``), whose basis stays dual feasible because a child only
+    tightens one bound, so a dual simplex with Bland's tie-break (lowest
+    index leaves; least ratio enters, ties to the lowest index) replaces
+    both phases.  At a non-unique LP optimum it may pick another vertex
+    than a cold solve, which can change ``x`` and the node count, never the
+    status or the objective.
     """
     matrix = inst.matrix
     stats = SolveStats()
@@ -136,18 +137,18 @@ def ilp_solve(inst: MilpInstance) -> SolveResult:
         heapq.heappush(heap, (res.objective, next(counter), res, lo, up))
 
     push(*root)
-    incumbent: Optional[SolveResult] = None
     while heap:
-        bound, _, res, lo, up = heapq.heappop(heap)
-        stats.nodes += 1
+        _, _, res, lo, up = heapq.heappop(heap)
+        branch_var = _most_fractional(res.x, range(inst.z))
+        # pops come in best-bound order, so once a node's integer columns are
+        # integral every node left would be popped only to be pruned: they
+        # are counted and the search stops
+        stats.nodes += 1 if branch_var is not None else 1 + len(heap)
         if stats.nodes > NODE_CAP:
             raise CapExceededError(f"branch and bound limited to {NODE_CAP} nodes")
-        if incumbent is not None and bound >= incumbent.objective:
-            continue
-        branch_var = _most_fractional(res.x, range(inst.z))
         if branch_var is None:
-            incumbent = res
-            continue
+            return SolveResult(status="optimal", x=res.x, objective=res.objective,
+                               basis=res.basis, stats=stats)
         v = res.x[branch_var]
         floor = v.numerator // v.denominator
         down_up = up[:branch_var] + (floor,) + up[branch_var + 1:]
@@ -156,10 +157,7 @@ def ilp_solve(inst: MilpInstance) -> SolveResult:
         up_lo = lo[:branch_var] + (floor + 1,) + lo[branch_var + 1:]
         if floor + 1 <= up[branch_var]:
             push(up_lo, up, res)
-    if incumbent is None:
-        return SolveResult(status="infeasible", stats=stats)
-    return SolveResult(status="optimal", x=incumbent.x, objective=incumbent.objective,
-                       basis=incumbent.basis, stats=stats)
+    return SolveResult(status="infeasible", stats=stats)
 
 
 def milp_oracle(inst: MilpInstance) -> SolveResult:
@@ -237,8 +235,19 @@ def _number_text(x: int | Fraction) -> str:
     return "/".join(out)
 
 
+def _basis_det(rows: Sequence[Sequence[int]], cols: Sequence[int]) -> int:
+    """|det| of the int rows cut to cols (as many as rows): the last pivot
+    entry of their elimination, whose row factors are 1; 0 when singular."""
+    a = [[row[j] for j in cols] for row in rows]
+    for i, pivot in forward_eliminate(a, len(cols)):
+        if pivot is None:
+            return 0
+    return abs(a[i][pivot])
+
+
 def _determinant_scale(a_frac: Matrix) -> tuple[int, int]:
-    """lcm and largest of |det B| over the bases B of a_frac's independent rows.
+    """lcm and largest of |det B| over the bases B of a_frac's independent rows;
+    a_frac is integral, as in every MilpInstance.
 
     By Cramer's rule every vertex of ``a_frac y = r`` within integral bounds,
     r integral, has denominators dividing |det B| for its basis B, whatever
@@ -267,9 +276,9 @@ def _determinant_scale(a_frac: Matrix) -> tuple[int, int]:
         rows = [i for i, support in enumerate(supports) if support & comp]
         if not rows:
             continue  # columns no kept row touches: only the empty basis
-        dets = [abs(mat_det(kept.submatrix(rows, cols)))
-                for cols in itertools.combinations(_bits(comp), len(rows))]
-        dets = [int(d) for d in dets if d]
+        block = [kept.row(i) for i in rows]
+        dets = [d for cols in itertools.combinations(_bits(comp), len(rows))
+                if (d := _basis_det(block, cols))]
         scale *= math.lcm(*dets)
         largest *= max(dets)
     return scale, largest

@@ -2,15 +2,18 @@ import contextlib
 import io
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdmilp import simplex, solver
 from tdmilp.cli import main
 from tdmilp.fileformat import ParseError, parse_instance, serialize_instance
 from tdmilp.integralize import FeasibilityError
-from tdmilp.linalg import Matrix
+from tdmilp.linalg import Matrix, rational
 from instances import (acceptance_corpus, dense_continuous, dense_continuous_exact,
                        milp_text, nfold_one_integer, wide_certificate)
 
@@ -131,6 +134,22 @@ class TestParseInstance:
             parse_instance(one_row(token))
         assert exc.value.line == 4
         assert str(exc.value) == f"line 4: {message}"
+
+    @settings(max_examples=400, deadline=None)
+    @given(token=st.text(st.sampled_from([*"0123456789", "\u0663", "\uff13", "\u00b2",
+                                          *"+-_./e"]), min_size=1, max_size=8))
+    def test_a_token_parses_exactly_as_rational(self, token):
+        # Arabic-Indic and fullwidth 3 are decimal digits, superscript 2 is not
+        try:
+            value = rational(token)
+        except ValueError as exc:
+            with pytest.raises(ParseError) as err:
+                parse_instance(one_row(token))
+            assert str(err.value) == f"line 4: {exc}"
+            return
+        inst = parse_instance(one_row(token)).instance
+        # the row is cleared of its denominator, the rhs 1 along with it
+        assert Fraction(inst.a_frac[0, 0], inst.b[0]) == value
 
     def test_minimal_file(self):
         parsed = parse_instance(TINY)
@@ -425,6 +444,14 @@ class TestCommands:
     def test_parse_error_exit(self):
         code, _ = run_cli(["solve"], stdin="not an instance")
         assert code == 2
+
+    def test_token_past_the_int_digit_limit_is_a_parse_error(self):
+        # 4301 digits: past Python's int-to-str conversion limit of 4300
+        err = io.StringIO()
+        code, out = run_cli(["solve"], stdin=one_row("7" * 4301), err=err)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: line 4: Exceeds the limit \(4300[^)]*\) .*4301 digits.*\n",
+                            err.getvalue())
 
     @pytest.mark.parametrize("matrix_text, message", [
         ("1 1\n1 1\n", "matrix is singular"),

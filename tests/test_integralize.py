@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,10 @@ class TestChooseScale:
         for m in range(1, 12):
             s = choose_scale(m)
             assert all(s % d == 0 for d in range(1, m + 1))
+
+    def test_is_the_lcm_of_the_range(self):
+        for m in [*range(1, 2001), 10 ** 4]:
+            assert choose_scale(m) == math.lcm(*range(1, m + 1))
 
     def test_invalid(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tdmilp import fracbound, solver
 from tdmilp.integralize import (FeasibilityError, MilpInstance, choose_scale, integralize,
                                 pure_ilp, recover)
-from tdmilp.linalg import Matrix, mat_det
+from tdmilp.linalg import Matrix
 from tdmilp.simplex import SolverError, lp_solve_exact
 from tdmilp.solver import (PipelineOptions, PipelineReport, _determinant_scale,
                            _most_fractional, choose_side, ilp_solve, milp_oracle, milp_solve,
@@ -125,6 +125,33 @@ class TestIlpSolve:
         with pytest.raises(CapExceededError) as info:
             ilp_solve(inst)
         assert str(info.value) == "branch and bound limited to 19 nodes"
+
+    def test_nodes_queued_at_the_optimum_count_against_the_cap(self, monkeypatch):
+        # mixed_bnb benchmark corpus problem 93: the optimum is the ninth node
+        # popped, and four nodes are still queued, each bounded no lower
+        rows = ((-2, 3, -1, 1, -3, -3), (-3, 2, 1, 3, 3, -1), (1, 3, 0, -3, -2, -1))
+        inst = MilpInstance(a_int=Matrix([r[:5] for r in rows]),
+                            a_frac=Matrix([r[5:] for r in rows]), b=(-1, 6, -5),
+                            c=(-4, 2, -3, -4, 6, -2), lower=(-2,) * 6, upper=(2,) * 6)
+        res = ilp_solve(inst)
+        assert ((res.status, res.x, res.objective, res.stats.nodes)
+                == ("optimal", (0, 1, 0, 2, 0, 2), -10, 13))
+        monkeypatch.setattr(solver, "NODE_CAP", 13)
+        assert ilp_solve(inst).x == res.x
+        branched = []
+        most_fractional = solver._most_fractional
+
+        def recording(x, cols):
+            branched.append(most_fractional(x, cols))
+            return branched[-1]
+
+        monkeypatch.setattr(solver, "_most_fractional", recording)
+        monkeypatch.setattr(solver, "NODE_CAP", 12)
+        with pytest.raises(CapExceededError) as info:
+            ilp_solve(inst)
+        assert str(info.value) == "branch and bound limited to 12 nodes"
+        # the optimum was found first: only the queued nodes cross the cap
+        assert branched.count(None) == 1 and branched[-1] is None
 
     def test_against_box_enumeration(self):
         rng = random.Random(7)
@@ -283,12 +310,13 @@ class TestDeterminantScale:
         rows += [[0] * 6 + [rng.randint(1, 4) for _ in range(8)] for _ in range(4)]
         a = Matrix(rows)
         calls = []
+        basis_det = solver._basis_det
 
-        def counting(m):
-            calls.append(m.shape)
-            return mat_det(m)
+        def counting(rows, cols):
+            calls.append((len(rows), len(cols)))
+            return basis_det(rows, cols)
 
-        monkeypatch.setattr(solver, "mat_det", counting)
+        monkeypatch.setattr(solver, "_basis_det", counting)
         scale, largest = _determinant_scale(a)
         assert len(calls) == math.comb(6, 3) + math.comb(8, 4)
         monkeypatch.undo()
